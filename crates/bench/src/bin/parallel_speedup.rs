@@ -43,10 +43,11 @@ fn time_it(reps: usize, mut f: impl FnMut() -> f64) -> (f64, f64) {
 }
 
 fn main() {
-    // Sized so every kernel clears the parallel layer's work threshold.
-    let (n, m, d) = (2000usize, 24usize, 32usize);
+    // Sized so every matmul clears the parallel layer's work threshold
+    // (`parallel::MIN_PAR_WORK`): [4000,32]x[32,32] is 8.2 MFLOP.
+    let (n, m, d) = (4000usize, 24usize, 32usize);
     let queries = 256usize;
-    let snap = random_snapshot(n, m, 6000, 1);
+    let snap = random_snapshot(n, m, 12_000, 1);
 
     let mut store = ParamStore::new(0);
     store.register_xavier("ent", n, d);

@@ -575,30 +575,30 @@ impl Graph {
         let width = xv.cols() / in_ch;
         let pad = ksize / 2;
         let batch = xv.rows();
+        // Chunk length for per-channel slices; `max(1)` keeps a zero-width
+        // (empty) input from reaching `chunks_exact(0)`.
+        let lane = width.max(1);
         let _t = retia_obs::kernel_span("conv1d");
         let mut out = Tensor::zeros(batch, out_ch * width);
         let ow = out_ch * width;
-        // Batch rows are independent, so the batch dimension chunks cleanly;
-        // each output value keeps its sequential (ic, kk) accumulation order.
+        // Batch rows are independent, so the batch dimension chunks cleanly.
+        // Each output value starts at its bias and adds its in-range taps in
+        // (ic, kk) order; a tap sweeps every position it reaches at once,
+        // so the padding edges need no per-tap test.
         let cost = 2 * ow * in_ch * ksize;
         crate::parallel::for_each_row_chunk(out.data_mut(), ow, cost, |first_row, chunk| {
             for (d, orow) in chunk.chunks_mut(ow).enumerate() {
                 let xr = xv.row(first_row + d);
-                for oc in 0..out_ch {
+                for (oc, o) in orow.chunks_exact_mut(lane).enumerate() {
                     let wrow = wv.row(oc);
-                    let bias = bv.get(0, oc);
-                    for pos in 0..width {
-                        let mut acc = bias;
-                        for ic in 0..in_ch {
-                            for kk in 0..ksize {
-                                let src = pos as isize + kk as isize - pad as isize;
-                                if src < 0 || src >= width as isize {
-                                    continue;
-                                }
-                                acc += xr[ic * width + src as usize] * wrow[ic * ksize + kk];
+                    o.fill(bv.get(0, oc));
+                    for (xc, taps) in xr.chunks_exact(lane).zip(wrow.chunks_exact(ksize.max(1))) {
+                        for (kk, &wt) in taps.iter().enumerate() {
+                            let (pos, src) = conv_tap(kk, pad, width);
+                            for (o, &x) in o[pos].iter_mut().zip(&xc[src]) {
+                                *o += x * wt;
                             }
                         }
-                        orow[oc * width + pos] = acc;
                     }
                 }
             }
@@ -932,9 +932,14 @@ impl Graph {
                     let pad = ksize / 2;
                     let batch = xv.rows();
                     let iw = in_ch * width;
+                    // As in the forward pass: empty operands never reach
+                    // `chunks_exact(0)`.
+                    let (lane, oc_lane) = (width.max(1), out_ch.max(1));
                     let cost = 2 * out_ch * width * in_ch * ksize;
                     // gx rows depend only on the matching batch row: chunk the
-                    // batch, disjoint writes, same per-element order.
+                    // batch, disjoint writes. Per gx element the taps arrive
+                    // in the sequential (oc, pos) order: oc ascending, and
+                    // for one tap row pos ascending means kk descending.
                     let mut gx = Tensor::zeros(batch, iw);
                     crate::parallel::for_each_row_chunk(
                         gx.data_mut(),
@@ -943,21 +948,13 @@ impl Graph {
                         |first_row, chunk| {
                             for (d, gxr) in chunk.chunks_mut(iw).enumerate() {
                                 let grow = g.row(first_row + d);
-                                for oc in 0..out_ch {
-                                    let wrow = wv.row(oc);
-                                    for pos in 0..width {
-                                        let go = grow[oc * width + pos];
-                                        if go == 0.0 {
-                                            continue;
-                                        }
-                                        for ic in 0..in_ch {
-                                            for kk in 0..ksize {
-                                                let src = pos as isize + kk as isize - pad as isize;
-                                                if src < 0 || src >= width as isize {
-                                                    continue;
-                                                }
-                                                gxr[ic * width + src as usize] +=
-                                                    go * wrow[ic * ksize + kk];
+                                for (oc, gc) in grow.chunks_exact(lane).enumerate() {
+                                    let taps_oc = wv.row(oc).chunks_exact(ksize.max(1));
+                                    for (gxc, taps) in gxr.chunks_exact_mut(lane).zip(taps_oc) {
+                                        for (kk, &wt) in taps.iter().enumerate().rev() {
+                                            let (pos, src) = conv_tap(kk, pad, width);
+                                            for (gx, &go) in gxc[src].iter_mut().zip(&gc[pos]) {
+                                                *gx += go * wt;
                                             }
                                         }
                                     }
@@ -966,38 +963,47 @@ impl Graph {
                         },
                     );
                     // gw/gb reduce over the batch: per-chunk partials (each
-                    // accumulated in the sequential order within its chunk)
-                    // merged in ascending chunk order — a fixed function of
-                    // the batch size, independent of thread count.
+                    // accumulated in the sequential (row, pos) order within
+                    // its chunk) merged in ascending chunk order — a fixed
+                    // function of the batch size, independent of thread
+                    // count. Each row's gradient is transposed to
+                    // `[width, out_ch]` so the sweep runs over output
+                    // channels, every (oc, tap) accumulator still taking
+                    // its positions in ascending order.
                     let partials = crate::parallel::map_row_chunks(batch, cost, |range| {
-                        let mut gw = Tensor::zeros(out_ch, in_ch * ksize);
+                        let taps = in_ch * ksize;
+                        let mut gw_t = vec![0.0f32; taps * out_ch];
                         let mut gb = Tensor::zeros(1, out_ch);
+                        let mut g_t = vec![0.0f32; width * out_ch];
                         for bi in range {
                             let xr = xv.row(bi);
-                            let grow = g.row(bi);
-                            for oc in 0..out_ch {
-                                for pos in 0..width {
-                                    let go = grow[oc * width + pos];
-                                    if go == 0.0 {
-                                        continue;
-                                    }
-                                    let gbv = gb.get(0, oc) + go;
-                                    gb.set(0, oc, gbv);
-                                    for ic in 0..in_ch {
-                                        for kk in 0..ksize {
-                                            let src = pos as isize + kk as isize - pad as isize;
-                                            if src < 0 || src >= width as isize {
-                                                continue;
-                                            }
-                                            let src = src as usize;
-                                            let gwv = gw.get(oc, ic * ksize + kk)
-                                                + go * xr[ic * width + src];
-                                            gw.set(oc, ic * ksize + kk, gwv);
+                            for (oc, gc) in g.row(bi).chunks_exact(lane).enumerate() {
+                                for (pos, &go) in gc.iter().enumerate() {
+                                    g_t[pos * out_ch + oc] = go;
+                                }
+                            }
+                            for gp in g_t.chunks_exact(oc_lane) {
+                                for (b, &go) in gb.data_mut().iter_mut().zip(gp) {
+                                    *b += go;
+                                }
+                            }
+                            for (ic, xc) in xr.chunks_exact(lane).enumerate() {
+                                for kk in 0..ksize {
+                                    let (pos, src) = conv_tap(kk, pad, width);
+                                    let t = ic * ksize + kk;
+                                    let acc = &mut gw_t[t * out_ch..(t + 1) * out_ch];
+                                    for (gp, &x) in g_t[pos.start * out_ch..pos.end * out_ch]
+                                        .chunks_exact(oc_lane)
+                                        .zip(&xc[src])
+                                    {
+                                        for (a, &go) in acc.iter_mut().zip(gp) {
+                                            *a += go * x;
                                         }
                                     }
                                 }
                             }
                         }
+                        let gw = Tensor::from_fn(out_ch, taps, |oc, t| gw_t[t * out_ch + oc]);
                         (gw, gb)
                     });
                     let mut gw = Tensor::zeros(out_ch, in_ch * ksize);
@@ -1034,6 +1040,24 @@ impl Graph {
             slot @ None => *slot = Some(g),
         }
     }
+}
+
+/// The output positions tap `kk` of a 'same'-padded width-`width`
+/// convolution reaches, and the input positions it reads for them
+/// (`src = pos + kk - pad`); taps that would read the zero padding are
+/// left out of both ranges.
+fn conv_tap(
+    kk: usize,
+    pad: usize,
+    width: usize,
+) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    let lo = pad.saturating_sub(kk);
+    let hi = (width + pad).saturating_sub(kk).min(width);
+    if lo >= hi {
+        return (0..0, 0..0);
+    }
+    let src = lo + kk - pad;
+    (lo..hi, src..src + (hi - lo))
 }
 
 #[cfg(test)]

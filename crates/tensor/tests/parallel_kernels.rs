@@ -50,16 +50,17 @@ fn sweep_threads(what: &str, f: impl Fn() -> Tensor) {
 
 #[test]
 fn matmul_bit_identical_across_threads() {
-    let a = rand_tensor(200, 64, 1);
+    let a = rand_tensor(512, 64, 1);
     let b = rand_tensor(64, 80, 2);
-    assert!(parallel::should_par(200, 2 * 64 * 80), "shape must exercise the parallel path");
+    assert!(parallel::should_par(512, 2 * 64 * 80), "shape must exercise the parallel path");
     sweep_threads("matmul", || a.matmul(&b));
 }
 
 #[test]
 fn matmul_nt_bit_identical_across_threads() {
-    let a = rand_tensor(200, 64, 3);
+    let a = rand_tensor(512, 64, 3);
     let b = rand_tensor(80, 64, 4);
+    assert!(parallel::should_par(512, 2 * 64 * 80));
     sweep_threads("matmul_nt", || a.matmul_nt(&b));
 }
 
@@ -97,9 +98,9 @@ fn matmul_nt_range_shards_concatenate_bit_identical() {
 
 #[test]
 fn matmul_tn_bit_identical_across_threads() {
-    let a = rand_tensor(64, 200, 5);
+    let a = rand_tensor(64, 512, 5);
     let b = rand_tensor(64, 80, 6);
-    assert!(parallel::should_par(200, 2 * 64 * 80));
+    assert!(parallel::should_par(512, 2 * 64 * 80));
     sweep_threads("matmul_tn", || a.matmul_tn(&b));
 }
 
@@ -120,11 +121,13 @@ fn matmul_tn_matches_explicit_transpose() {
 
 #[test]
 fn gather_softmax_bit_identical_across_threads() {
-    let table = rand_tensor(300, 48, 9);
-    let indices: Vec<u32> = (0..4096u32).map(|i| (i * 37) % 300).collect();
+    let table = rand_tensor(300, 512, 9);
+    let indices: Vec<u32> = (0..8192u32).map(|i| (i * 37) % 300).collect();
+    assert!(parallel::should_par(8192, 512));
     sweep_threads("gather_rows", || table.gather_rows(&indices));
 
-    let logits = rand_tensor(400, 96, 10);
+    let logits = rand_tensor(4096, 256, 10);
+    assert!(parallel::should_par(4096, 4 * 256));
     sweep_threads("softmax_rows", || logits.softmax_rows());
 }
 
@@ -165,7 +168,7 @@ fn kernels_pass_write_set_tracking() {
 
 #[test]
 fn conv1d_forward_and_backward_bit_identical_across_threads() {
-    let (batch, in_ch, out_ch, width, ksize) = (128usize, 2usize, 3usize, 64usize, 3usize);
+    let (batch, in_ch, out_ch, width, ksize) = (384usize, 2usize, 16usize, 64usize, 3usize);
     assert!(parallel::should_par(batch, 2 * out_ch * width * in_ch * ksize));
     let x0 = rand_tensor(batch, in_ch * width, 11);
     let w0 = rand_tensor(out_ch, in_ch * ksize, 12);
