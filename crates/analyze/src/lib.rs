@@ -1,20 +1,22 @@
 //! Static analysis and fault injection for the RETIA stack.
 //!
-//! - [`shape`] — an abstract shape interpreter. [`ShapeCtx`] replays the
-//!   model's op sequence over [`ShapeTensor`]s (shapes only, no allocation),
-//!   so a full EAM→RAM→TIM→decode→loss→backward pass can be dry-run at
-//!   startup and every dimension/index-space mismatch reported with the
-//!   module and paper-equation name attached. NN layers expose `validate`
-//!   methods built on this; `retia check` and the pre-`train`/`eval` guard
-//!   in the CLI surface it.
-//! - [`value`] + [`gradflow`] — a value-domain abstract interpreter over the
-//!   same op vocabulary: an interval + finiteness domain ([`AuditCtx`])
-//!   driven by the per-op transfer functions in `retia_tensor::transfer`,
-//!   gradient-flow reachability from the loss (declared-frozen parameters
-//!   and detach boundaries included), and reduction-order sensitivity
-//!   declarations. NN layers expose `audit` twins of `validate`; the
-//!   `retia audit` subcommand, the trainer pre-flight, and the serve boot
-//!   check surface it.
+//! The two abstract interpreters implement `retia_tensor::Ops`, the op
+//! vocabulary every NN layer and the RETIA step are written against, so the
+//! checks run the model's own generic code — there is no replay to keep in
+//! step with `forward`:
+//!
+//! - [`shape`] — [`ShapeCtx`] runs the step over [`ShapeTensor`]s (shapes
+//!   only, no allocation), so a full EAM→RAM→TIM→decode→loss→backward pass
+//!   can be dry-run at startup and every dimension/index-space mismatch
+//!   reported with the module and paper-equation name attached. `retia
+//!   check` and the pre-`train`/`eval` guard in the CLI surface it.
+//! - [`value`] + [`gradflow`] — [`AuditCtx`] runs the same step over an
+//!   interval + finiteness domain driven by the per-op transfer functions in
+//!   `retia_tensor::transfer`, with gradient-flow reachability from the loss
+//!   (declared-frozen parameters and detach boundaries included) and
+//!   reduction-order sensitivity declarations. The `retia audit`
+//!   subcommand, the trainer pre-flight, and the serve boot check surface
+//!   it.
 //! - [`lint`] — the repo-specific source lint behind the `retia-lint` binary
 //!   (`cargo run -p retia-analyze --bin retia-lint`), with an exact-count
 //!   allowlist ratchet in `scripts/lint-allowlist.txt` and a drift check of

@@ -21,9 +21,12 @@
 //!   `record_stage` call naming the constant (or its string literal, in
 //!   crates that cannot depend on retia-serve) somewhere under
 //!   `crates/*/src`, keeping the request-trace taxonomy from drifting.
-//! - **layer-validate** — every public NN layer struct in `crates/nn/src`
-//!   must expose a `validate` method replaying its shapes through
-//!   [`crate::ShapeCtx`].
+//! - **layer-generic** — no non-test `fn` in `crates/nn/src` may take a
+//!   concrete `&mut Graph`, `&mut ShapeCtx` or `&mut AuditCtx`. Layers are
+//!   written once, generic over `retia_tensor::Ops`, so the training graph,
+//!   the shape dry run and the value audit all run the same code; a
+//!   concrete interpreter in a layer signature is how a hand-kept twin
+//!   starts.
 //! - **no-as-cast** — `crates/tensor/src` must not use bare `as` numeric
 //!   casts: `as` silently truncates, wraps, and saturates, which is exactly
 //!   the class of value bug the abstract interpreter exists to rule out.
@@ -481,42 +484,54 @@ fn scan_stage_span_rule(files: &[SourceFile], violations: &mut Vec<Violation>) {
     }
 }
 
-/// Rule `layer-validate`: every `pub struct` in `crates/nn/src` must have a
-/// `validate` method in one of its `impl` blocks (same file).
-fn scan_layer_validate_rule(files: &[SourceFile], violations: &mut Vec<Violation>) {
-    for file in files {
-        if !file.path.starts_with("crates/nn/src/") {
+/// Interpreters of the `Ops` vocabulary that NN layers must stay generic
+/// over.
+const CONCRETE_INTERPRETERS: [&str; 3] = ["Graph", "ShapeCtx", "AuditCtx"];
+
+/// Rule `layer-generic`: no non-test `fn` in `crates/nn/src` takes one of
+/// [`CONCRETE_INTERPRETERS`] by `&mut`. The signature is read from `fn` to
+/// the body's `{` (or a `;`), so multi-line parameter lists are covered, and
+/// a path-qualified type (`&mut retia_tensor::Graph`) counts too.
+fn scan_layer_generic_rule(file: &SourceFile, violations: &mut Vec<Violation>) {
+    if !file.path.starts_with("crates/nn/src/") {
+        return;
+    }
+    let stripped = strip_code(&file.content);
+    let mask = test_block_mask(&stripped);
+    for (idx, line) in stripped.iter().enumerate() {
+        let Some(at) = line.match_indices("fn ").map(|(p, _)| p).find(|&p| {
+            !mask[idx] && !line[..p].ends_with(|c: char| c.is_alphanumeric() || c == '_')
+        }) else {
             continue;
-        }
-        let stripped = strip_code(&file.content);
-        let mask = test_block_mask(&stripped);
-        let mut structs: Vec<(usize, String)> = Vec::new();
-        for (idx, line) in stripped.iter().enumerate() {
-            if mask[idx] {
-                continue;
-            }
-            if let Some(pos) = line.find("pub struct ") {
-                let name: String = line[pos + "pub struct ".len()..]
-                    .chars()
-                    .take_while(|c| c.is_alphanumeric() || *c == '_')
-                    .collect();
-                if !name.is_empty() {
-                    structs.push((idx + 1, name));
-                }
+        };
+        let mut sig = String::new();
+        for (k, l) in stripped[idx..].iter().enumerate() {
+            let l = if k == 0 { &l[at..] } else { l.as_str() };
+            let end = l.find(['{', ';']);
+            sig.push_str(&l[..end.unwrap_or(l.len())]);
+            sig.push(' ');
+            if end.is_some() {
+                break;
             }
         }
-        for (lineno, name) in structs {
-            if !impl_blocks_contain(&stripped, &name, "fn validate") {
-                violations.push(Violation {
-                    path: file.path.clone(),
-                    line: lineno,
-                    rule: "layer-validate",
-                    detail: format!(
-                        "public layer `{name}` has no `validate` method replaying its shapes \
-                         through retia_analyze::ShapeCtx"
-                    ),
-                });
-            }
+        let concrete = sig.match_indices("&mut ").find_map(|(p, m)| {
+            let ty: String = sig[p + m.len()..]
+                .chars()
+                .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == ':')
+                .collect();
+            let last = ty.rsplit("::").next().unwrap_or_default().to_string();
+            CONCRETE_INTERPRETERS.contains(&last.as_str()).then_some(last)
+        });
+        if let Some(ty) = concrete {
+            violations.push(Violation {
+                path: file.path.clone(),
+                line: idx + 1,
+                rule: "layer-generic",
+                detail: format!(
+                    "layer function takes a concrete `&mut {ty}`: write it generic over \
+                     retia_tensor::Ops so the graph, the shape dry run and the audit run it"
+                ),
+            });
         }
     }
 }
@@ -595,45 +610,6 @@ fn scan_zero_skip_rule(file: &SourceFile, violations: &mut Vec<Violation>) {
     }
 }
 
-/// True if any `impl <name>` block in `stripped` contains `needle`.
-fn impl_blocks_contain(stripped: &[String], name: &str, needle: &str) -> bool {
-    let mut idx = 0usize;
-    while idx < stripped.len() {
-        let line = stripped[idx].trim_start();
-        let is_impl_for_name = line.strip_prefix("impl ").is_some_and(|rest| {
-            rest.strip_prefix(name)
-                .is_some_and(|after| !after.starts_with(|c: char| c.is_alphanumeric() || c == '_'))
-        });
-        if !is_impl_for_name {
-            idx += 1;
-            continue;
-        }
-        // Walk the impl block by brace depth, searching for the needle.
-        let mut depth = 0i64;
-        let mut opened = false;
-        while idx < stripped.len() {
-            if stripped[idx].contains(needle) {
-                return true;
-            }
-            for c in stripped[idx].chars() {
-                match c {
-                    '{' => {
-                        depth += 1;
-                        opened = true;
-                    }
-                    '}' => depth -= 1,
-                    _ => {}
-                }
-            }
-            idx += 1;
-            if opened && depth <= 0 {
-                break;
-            }
-        }
-    }
-    false
-}
-
 /// Runs every rule over the given sources. Pure function of the inputs.
 pub fn scan_sources(files: &[SourceFile]) -> Vec<Violation> {
     let mut violations = Vec::new();
@@ -641,10 +617,10 @@ pub fn scan_sources(files: &[SourceFile]) -> Vec<Violation> {
         scan_in_library_rules(file, &mut violations);
         scan_as_cast_rule(file, &mut violations);
         scan_zero_skip_rule(file, &mut violations);
+        scan_layer_generic_rule(file, &mut violations);
     }
     scan_kernel_rule(files, &mut violations);
     scan_stage_span_rule(files, &mut violations);
-    scan_layer_validate_rule(files, &mut violations);
     violations.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     violations
 }
@@ -978,22 +954,33 @@ mod tests {\n\
     }
 
     #[test]
-    fn layer_validate_rule() {
-        let missing = SourceFile {
+    fn layer_generic_rule_fires_on_seeded_concrete_layer() {
+        let concrete = SourceFile {
             path: "crates/nn/src/l.rs".to_string(),
-            content: "pub struct Thing { x: usize }\nimpl Thing { pub fn forward(&self) {} }\n"
+            content: "pub fn forward(\n    &self,\n    g: &mut Graph,\n) -> NodeId {\n    x\n}\n\
+                      fn twin(ctx: &mut retia_analyze::ShapeCtx) {}\n\
+                      pub fn audit(&self, ctx: &mut AuditCtx, x: AbsId) -> AbsId { x }\n"
                 .to_string(),
         };
-        let v = scan_sources(&[missing]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "layer-validate");
-        let present = SourceFile {
+        let v = scan_sources(&[concrete]);
+        assert_eq!(v.len(), 3, "{v:?}");
+        assert!(v.iter().all(|x| x.rule == "layer-generic"), "{v:?}");
+        assert_eq!(v.iter().map(|x| x.line).collect::<Vec<_>>(), [1, 7, 8]);
+        assert!(v[1].detail.contains("`&mut ShapeCtx`"), "{v:?}");
+
+        let generic = SourceFile {
             path: "crates/nn/src/l.rs".to_string(),
-            content: "pub struct Thing { x: usize }\n\
-                      impl Thing {\n    pub fn validate(&self) {}\n}\n"
+            content: "pub fn forward<O: Ops>(&self, g: &mut O) -> O::Node { g.zeros(1, 1) }\n\
+                      fn f(g: &mut GraphLike) {}\n\
+                      #[cfg(test)]\nmod tests {\n    fn t(g: &mut Graph) {}\n}\n"
                 .to_string(),
         };
-        assert!(scan_sources(&[present]).is_empty());
+        assert!(scan_sources(&[generic]).is_empty());
+        let elsewhere = SourceFile {
+            path: "crates/core/src/m.rs".to_string(),
+            content: "pub fn loss(&self, g: &mut Graph) {}\n".to_string(),
+        };
+        assert!(scan_sources(&[elsewhere]).is_empty());
     }
 
     #[test]

@@ -1,19 +1,22 @@
 //! Abstract shape interpreter.
 //!
 //! A [`ShapeTensor`] is a tensor with its data erased: two dimensions and
-//! nothing else. [`ShapeCtx`] replays the exact op vocabulary of the autodiff
-//! graph (`matmul`/`matmul_nt`/`matmul_tn`, gather/scatter, `conv1d`,
-//! softmax-CE, the RNN/R-GCN building blocks) over shapes only — no
-//! allocation, no floating point — checking every dimension and index-space
-//! precondition the real kernels would assert at runtime.
+//! nothing else. [`ShapeCtx`] implements the [`Ops`] vocabulary the layers
+//! are written against over shapes only — no allocation, no floating point
+//! — checking every dimension and index-space precondition the real kernels
+//! would assert at runtime. Running a layer's own generic `forward` on a
+//! `ShapeCtx` is its shape dry run.
 //!
-//! Mismatches do not abort the replay. Each failed check records a
+//! Mismatches do not abort the run. Each failed check records a
 //! [`ShapeIssue`] tagged with the enclosing module/equation scope (see
-//! [`ShapeCtx::scoped`]) and the op returns the shape it *would* have
-//! produced, so one pass over a model collects every inconsistency rather
-//! than the first. Callers drain the result with [`ShapeCtx::finish`].
+//! [`Ops::scoped`]) and the op returns the shape it *would* have produced,
+//! so one pass over a model collects every inconsistency rather than the
+//! first. Callers drain the result with [`ShapeCtx::finish`].
 
 use std::fmt;
+use std::rc::Rc;
+
+use retia_tensor::{Ops, ParamStore};
 
 /// A tensor reduced to its shape: `rows x cols`. Copy, 16 bytes, no data.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,8 +92,8 @@ impl fmt::Display for ShapeReport {
 
 impl std::error::Error for ShapeReport {}
 
-/// The abstract interpreter: replays graph ops over [`ShapeTensor`]s,
-/// collecting [`ShapeIssue`]s instead of panicking.
+/// The abstract interpreter: runs the [`Ops`] vocabulary over
+/// [`ShapeTensor`]s, collecting [`ShapeIssue`]s instead of panicking.
 #[derive(Debug, Default)]
 pub struct ShapeCtx {
     scope: Vec<String>,
@@ -103,29 +106,6 @@ impl ShapeCtx {
         Self::default()
     }
 
-    /// Runs `f` with `module` (and optionally a paper-equation tag) pushed
-    /// onto the scope path; issues recorded inside are attributed to it.
-    pub fn scoped<R>(
-        &mut self,
-        module: &str,
-        equation: Option<&str>,
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> R {
-        let frame = match equation {
-            Some(eq) => format!("{module} [{eq}]"),
-            None => module.to_string(),
-        };
-        self.scope.push(frame);
-        let out = f(self);
-        self.scope.pop();
-        out
-    }
-
-    /// Number of op checks performed so far.
-    pub fn ops_checked(&self) -> usize {
-        self.ops_checked
-    }
-
     /// Issues recorded so far (drained by [`ShapeCtx::finish`]).
     pub fn issues(&self) -> &[ShapeIssue] {
         &self.issues
@@ -134,16 +114,6 @@ impl ShapeCtx {
     /// Consumes the context into a [`ShapeReport`].
     pub fn finish(self) -> ShapeReport {
         ShapeReport { issues: self.issues, ops_checked: self.ops_checked }
-    }
-
-    /// Records a custom precondition failure unless `cond` holds. Used by
-    /// layer validators for checks that are not a single graph op (e.g.
-    /// "LSTM input width must equal `input_dim`").
-    pub fn check(&mut self, op: &'static str, cond: bool, detail: impl FnOnce() -> String) {
-        self.ops_checked += 1;
-        if !cond {
-            self.record(op, detail());
-        }
     }
 
     fn record(&mut self, op: &'static str, detail: String) {
@@ -157,40 +127,102 @@ impl ShapeCtx {
         detail: impl FnOnce() -> String,
         out: ShapeTensor,
     ) -> ShapeTensor {
-        self.ops_checked += 1;
-        if !cond {
-            self.record(op, detail());
-        }
+        self.check(op, cond, detail);
         out
     }
-
-    // ---- elementwise -------------------------------------------------------
 
     fn same_shape(&mut self, op: &'static str, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
         self.op(op, a == b, || format!("operand shapes differ: {a} vs {b}"), a)
     }
 
-    pub fn add(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
-        self.same_shape("add", a, b)
-    }
-
-    pub fn sub(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
-        self.same_shape("sub", a, b)
-    }
-
-    pub fn mul(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
-        self.same_shape("mul", a, b)
-    }
-
-    /// Any shape-preserving unary op (`sigmoid`, `tanh`, `relu`, `rrelu`,
-    /// `dropout`, `scale`, `softmax_rows`, `ln`, `normalize_rows`,
-    /// `layer_norm_rows`, ...). Named so issues elsewhere can reference it.
-    pub fn unary(&mut self, op: &'static str, x: ShapeTensor) -> ShapeTensor {
+    /// A shape-preserving op with no precondition.
+    fn unary(&mut self, op: &'static str, x: ShapeTensor) -> ShapeTensor {
         self.op(op, true, String::new, x)
     }
 
-    /// Row-broadcast add: `bias` must be `[1, x.cols]`.
-    pub fn add_bias(&mut self, x: ShapeTensor, bias: ShapeTensor) -> ShapeTensor {
+    /// Fused softmax + cross-entropy: one target class per logit row ->
+    /// scalar loss `[1, 1]`.
+    pub fn softmax_xent(&mut self, logits: ShapeTensor, num_targets: usize) -> ShapeTensor {
+        self.op(
+            "softmax_xent",
+            num_targets == logits.rows,
+            || format!("{num_targets} targets for {} logit rows", logits.rows),
+            ShapeTensor::new(1, 1),
+        )
+    }
+
+    /// Backprop entry point: the loss must be a scalar.
+    pub fn backward(&mut self, loss: ShapeTensor) {
+        self.check("backward", loss.shape() == (1, 1), || {
+            format!("loss is {loss}, expected the scalar [1, 1]")
+        });
+    }
+}
+
+/// First index in `indices` that does not address one of `bound` rows or
+/// columns.
+fn out_of_range(indices: &[u32], bound: usize) -> Option<u32> {
+    indices.iter().copied().find(|&i| (i as usize) >= bound)
+}
+
+/// Ops that keep their input's shape. Binary ones require equal operand
+/// shapes; the scalar arguments of unary ones do not affect the shape.
+macro_rules! shape_preserving {
+    ($($bin:ident(a, b);)* $(| $un:ident($($extra:ty),*);)*) => {
+        $(fn $bin(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
+            self.same_shape(stringify!($bin), a, b)
+        })*
+        $(fn $un(&mut self, x: ShapeTensor $(, _: $extra)*) -> ShapeTensor {
+            self.unary(stringify!($un), x)
+        })*
+    };
+}
+
+impl Ops for ShapeCtx {
+    type Node = ShapeTensor;
+
+    /// The parameter's shape as registered in `store`; an unknown name is
+    /// an issue (the real graph would panic on it).
+    fn param(&mut self, store: &ParamStore, name: &str) -> ShapeTensor {
+        let known = store.contains(name);
+        self.check("param", known, || format!("unknown parameter `{name}`"));
+        let (rows, cols) = if known { store.value(name).shape() } else { (0, 0) };
+        ShapeTensor::new(rows, cols)
+    }
+
+    fn param_value(&mut self, store: &ParamStore, name: &str) -> ShapeTensor {
+        self.param(store, name)
+    }
+
+    fn zeros(&mut self, rows: usize, cols: usize) -> ShapeTensor {
+        ShapeTensor::new(rows, cols)
+    }
+
+    fn shape(&self, x: ShapeTensor) -> (usize, usize) {
+        x.shape()
+    }
+
+    fn check(&mut self, op: &'static str, cond: bool, detail: impl FnOnce() -> String) {
+        self.ops_checked += 1;
+        if !cond {
+            self.record(op, detail());
+        }
+    }
+
+    fn scoped<R>(
+        &mut self,
+        module: &str,
+        equation: Option<&str>,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        self.scope.push(scope_frame(module, equation));
+        let out = f(self);
+        self.scope.pop();
+        out
+    }
+
+    /// `bias` must be `[1, x.cols]`.
+    fn add_bias(&mut self, x: ShapeTensor, bias: ShapeTensor) -> ShapeTensor {
         self.op(
             "add_bias",
             bias.rows == 1 && bias.cols == x.cols,
@@ -199,8 +231,8 @@ impl ShapeCtx {
         )
     }
 
-    /// Row-broadcast multiply: `w` must be `[1, x.cols]`.
-    pub fn mul_bias(&mut self, x: ShapeTensor, w: ShapeTensor) -> ShapeTensor {
+    /// `w` must be `[1, x.cols]`.
+    fn mul_bias(&mut self, x: ShapeTensor, w: ShapeTensor) -> ShapeTensor {
         self.op(
             "mul_bias",
             w.rows == 1 && w.cols == x.cols,
@@ -209,8 +241,8 @@ impl ShapeCtx {
         )
     }
 
-    /// Column-broadcast multiply: `c` must be `[x.rows, 1]`.
-    pub fn mul_col(&mut self, x: ShapeTensor, c: ShapeTensor) -> ShapeTensor {
+    /// `c` must be `[x.rows, 1]`.
+    fn mul_col(&mut self, x: ShapeTensor, c: ShapeTensor) -> ShapeTensor {
         self.op(
             "mul_col",
             c.cols == 1 && c.rows == x.rows,
@@ -219,10 +251,8 @@ impl ShapeCtx {
         )
     }
 
-    // ---- matmul family -----------------------------------------------------
-
-    /// `a @ b`: inner dimensions must agree.
-    pub fn matmul(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
+    /// Inner dimensions must agree.
+    fn matmul(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
         self.op(
             "matmul",
             a.cols == b.rows,
@@ -231,8 +261,8 @@ impl ShapeCtx {
         )
     }
 
-    /// `a @ b^T`: column counts must agree.
-    pub fn matmul_nt(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
+    /// Column counts must agree.
+    fn matmul_nt(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
         self.op(
             "matmul_nt",
             a.cols == b.cols,
@@ -241,149 +271,9 @@ impl ShapeCtx {
         )
     }
 
-    /// `a^T @ b`: row counts must agree.
-    pub fn matmul_tn(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
-        self.op(
-            "matmul_tn",
-            a.rows == b.rows,
-            || format!("row counts differ: {a}^T x {b}"),
-            ShapeTensor::new(a.cols, b.cols),
-        )
-    }
-
-    // ---- structure ---------------------------------------------------------
-
-    /// Row gather: every index must address a row of `x`.
-    pub fn gather_rows(&mut self, x: ShapeTensor, indices: &[u32]) -> ShapeTensor {
-        let bad = indices.iter().find(|&&i| (i as usize) >= x.rows);
-        self.op(
-            "gather_rows",
-            bad.is_none(),
-            || format!("index {} out of range for {} rows", bad.unwrap_or(&0), x.rows),
-            ShapeTensor::new(indices.len(), x.cols),
-        )
-    }
-
-    /// Scatter-add into `[out_rows, x.cols]`: one destination index per row
-    /// of `x`, each addressing a row of the output.
-    pub fn scatter_add_rows(
-        &mut self,
-        x: ShapeTensor,
-        indices: &[u32],
-        out_rows: usize,
-    ) -> ShapeTensor {
-        let bad = indices.iter().find(|&&i| (i as usize) >= out_rows);
-        let count_ok = indices.len() == x.rows;
-        self.op(
-            "scatter_add_rows",
-            count_ok && bad.is_none(),
-            || {
-                if !count_ok {
-                    format!("{} destination indices for {} input rows", indices.len(), x.rows)
-                } else {
-                    format!(
-                        "destination index {} out of range for {} output rows",
-                        bad.unwrap_or(&0),
-                        out_rows
-                    )
-                }
-            },
-            ShapeTensor::new(out_rows, x.cols),
-        )
-    }
-
-    /// Per-row scaling: one weight per row of `x`.
-    pub fn row_scale(&mut self, x: ShapeTensor, num_weights: usize) -> ShapeTensor {
-        self.op(
-            "row_scale",
-            num_weights == x.rows,
-            || format!("{num_weights} weights for {} rows", x.rows),
-            x,
-        )
-    }
-
-    /// Horizontal concatenation `[a | b]`.
-    pub fn concat_cols(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
-        self.op(
-            "concat_cols",
-            a.rows == b.rows,
-            || format!("row counts differ: {a} vs {b}"),
-            ShapeTensor::new(a.rows, a.cols + b.cols),
-        )
-    }
-
-    /// Columns `start..end` of `x`.
-    pub fn slice_cols(&mut self, x: ShapeTensor, start: usize, end: usize) -> ShapeTensor {
-        self.op(
-            "slice_cols",
-            start <= end && end <= x.cols,
-            || format!("slice {start}..{end} out of range for {} columns", x.cols),
-            ShapeTensor::new(x.rows, end.saturating_sub(start)),
-        )
-    }
-
-    /// `out[i, 0] = x[i, cols[i]]`: one column index per row, in range.
-    pub fn gather_cols(&mut self, x: ShapeTensor, cols: &[u32]) -> ShapeTensor {
-        let bad = cols.iter().find(|&&c| (c as usize) >= x.cols);
-        let count_ok = cols.len() == x.rows;
-        self.op(
-            "gather_cols",
-            count_ok && bad.is_none(),
-            || {
-                if !count_ok {
-                    format!("{} column indices for {} rows", cols.len(), x.rows)
-                } else {
-                    format!(
-                        "column index {} out of range for {} columns",
-                        bad.unwrap_or(&0),
-                        x.cols
-                    )
-                }
-            },
-            ShapeTensor::new(x.rows, 1),
-        )
-    }
-
-    // ---- reductions --------------------------------------------------------
-
-    /// Mean over all elements -> `[1, 1]`.
-    pub fn mean_all(&mut self, x: ShapeTensor) -> ShapeTensor {
-        self.op("mean_all", x.rows > 0 && x.cols > 0, || format!("mean of empty tensor {x}"), {
-            ShapeTensor::new(1, 1)
-        })
-    }
-
-    /// Sum over all elements -> `[1, 1]`.
-    pub fn sum_all(&mut self, _x: ShapeTensor) -> ShapeTensor {
-        self.op("sum_all", true, String::new, ShapeTensor::new(1, 1))
-    }
-
-    /// Row sums: `[n, d] -> [n, 1]`.
-    pub fn sum_rows(&mut self, x: ShapeTensor) -> ShapeTensor {
-        self.op("sum_rows", true, String::new, ShapeTensor::new(x.rows, 1))
-    }
-
-    /// Sum of several same-shape tensors.
-    pub fn add_n(&mut self, xs: &[ShapeTensor]) -> ShapeTensor {
-        let first = xs.first().copied().unwrap_or(ShapeTensor::new(0, 0));
-        let bad = xs.iter().find(|&&x| x != first);
-        self.op(
-            "add_n",
-            !xs.is_empty() && bad.is_none(),
-            || match bad {
-                Some(b) => format!("input shapes differ: {first} vs {b}"),
-                None => "needs at least one input".to_string(),
-            },
-            first,
-        )
-    }
-
-    // ---- fused / conv ------------------------------------------------------
-
-    /// 1-D 'same' convolution over `[batch, in_ch * width]` rows with kernel
-    /// `[out_ch, in_ch * ksize]` and bias `[1, out_ch]` ->
-    /// `[batch, out_ch * width]`.
-    pub fn conv1d(
+    /// Input width a multiple of `in_ch`, kernel `[out_ch, in_ch * ksize]`,
+    /// bias `[1, out_ch]` -> `[batch, out_ch * width]`.
+    fn conv1d(
         &mut self,
         x: ShapeTensor,
         w: ShapeTensor,
@@ -395,7 +285,7 @@ impl ShapeCtx {
         let width_ok = in_ch > 0 && x.cols.is_multiple_of(in_ch);
         let w_ok = w.shape() == (out_ch, in_ch * ksize);
         let b_ok = b.shape() == (1, out_ch);
-        let width = if in_ch > 0 { x.cols / in_ch.max(1) } else { 0 };
+        let width = x.cols.checked_div(in_ch).unwrap_or(0);
         self.op(
             "conv1d",
             width_ok && w_ok && b_ok,
@@ -415,23 +305,139 @@ impl ShapeCtx {
         )
     }
 
-    /// Fused softmax + cross-entropy: one target class per logit row ->
-    /// scalar loss `[1, 1]`.
-    pub fn softmax_xent(&mut self, logits: ShapeTensor, num_targets: usize) -> ShapeTensor {
+    /// Every index must address a row of `x`.
+    fn gather_rows(&mut self, x: ShapeTensor, indices: Rc<Vec<u32>>) -> ShapeTensor {
+        let bad = out_of_range(&indices, x.rows);
         self.op(
-            "softmax_xent",
-            num_targets == logits.rows,
-            || format!("{num_targets} targets for {} logit rows", logits.rows),
+            "gather_rows",
+            bad.is_none(),
+            || format!("index {} out of range for {} rows", bad.unwrap_or(0), x.rows),
+            ShapeTensor::new(indices.len(), x.cols),
+        )
+    }
+
+    /// One destination index per row of `x`, each addressing an output row.
+    fn scatter_add_rows(
+        &mut self,
+        x: ShapeTensor,
+        indices: Rc<Vec<u32>>,
+        out_rows: usize,
+    ) -> ShapeTensor {
+        let bad = out_of_range(&indices, out_rows);
+        let count_ok = indices.len() == x.rows;
+        self.op(
+            "scatter_add_rows",
+            count_ok && bad.is_none(),
+            || {
+                if !count_ok {
+                    format!("{} destination indices for {} input rows", indices.len(), x.rows)
+                } else {
+                    format!(
+                        "destination index {} out of range for {out_rows} output rows",
+                        bad.unwrap_or(0)
+                    )
+                }
+            },
+            ShapeTensor::new(out_rows, x.cols),
+        )
+    }
+
+    /// One weight per row of `x`.
+    fn row_scale(&mut self, x: ShapeTensor, weights: Rc<Vec<f32>>) -> ShapeTensor {
+        let n = weights.len();
+        self.op("row_scale", n == x.rows, || format!("{n} weights for {} rows", x.rows), x)
+    }
+
+    /// One column index per row, in range.
+    fn gather_cols(&mut self, x: ShapeTensor, cols: Rc<Vec<u32>>) -> ShapeTensor {
+        let bad = out_of_range(&cols, x.cols);
+        let count_ok = cols.len() == x.rows;
+        self.op(
+            "gather_cols",
+            count_ok && bad.is_none(),
+            || {
+                if !count_ok {
+                    format!("{} column indices for {} rows", cols.len(), x.rows)
+                } else {
+                    format!("column index {} out of range for {} columns", bad.unwrap_or(0), x.cols)
+                }
+            },
+            ShapeTensor::new(x.rows, 1),
+        )
+    }
+
+    fn concat_cols(&mut self, a: ShapeTensor, b: ShapeTensor) -> ShapeTensor {
+        self.op(
+            "concat_cols",
+            a.rows == b.rows,
+            || format!("row counts differ: {a} vs {b}"),
+            ShapeTensor::new(a.rows, a.cols + b.cols),
+        )
+    }
+
+    fn slice_cols(&mut self, x: ShapeTensor, start: usize, end: usize) -> ShapeTensor {
+        self.op(
+            "slice_cols",
+            start <= end && end <= x.cols,
+            || format!("slice {start}..{end} out of range for {} columns", x.cols),
+            ShapeTensor::new(x.rows, end.saturating_sub(start)),
+        )
+    }
+
+    fn mean_all(&mut self, x: ShapeTensor) -> ShapeTensor {
+        self.op(
+            "mean_all",
+            x.rows > 0 && x.cols > 0,
+            || format!("mean of empty tensor {x}"),
             ShapeTensor::new(1, 1),
         )
     }
 
-    /// Backprop entry point: the loss must be a scalar.
-    pub fn backward(&mut self, loss: ShapeTensor) {
-        self.ops_checked += 1;
-        if loss.shape() != (1, 1) {
-            self.record("backward", format!("loss is {loss}, expected the scalar [1, 1]"));
-        }
+    fn sum_all(&mut self, _: ShapeTensor) -> ShapeTensor {
+        self.op("sum_all", true, String::new, ShapeTensor::new(1, 1))
+    }
+
+    fn sum_rows(&mut self, x: ShapeTensor) -> ShapeTensor {
+        self.op("sum_rows", true, String::new, ShapeTensor::new(x.rows, 1))
+    }
+
+    fn add_n(&mut self, xs: &[ShapeTensor]) -> ShapeTensor {
+        let first = xs.first().copied().unwrap_or(ShapeTensor::new(0, 0));
+        let bad = xs.iter().find(|&&x| x != first);
+        self.op(
+            "add_n",
+            !xs.is_empty() && bad.is_none(),
+            || match bad {
+                Some(b) => format!("input shapes differ: {first} vs {b}"),
+                None => "needs at least one input".to_string(),
+            },
+            first,
+        )
+    }
+
+    shape_preserving! {
+        add(a, b);
+        sub(a, b);
+        mul(a, b);
+        | scale(f32);
+        | add_scalar(f32);
+        | sigmoid();
+        | tanh();
+        | relu();
+        | rrelu();
+        | dropout(f32);
+        | softmax_rows();
+        | ln(f32);
+        | normalize_rows();
+        | layer_norm_rows();
+    }
+}
+
+/// One scope-path frame: `module`, or `module [equation]`.
+pub(crate) fn scope_frame(module: &str, equation: Option<&str>) -> String {
+    match equation {
+        Some(eq) => format!("{module} [{eq}]"),
+        None => module.to_string(),
     }
 }
 
@@ -448,9 +454,8 @@ mod tests {
         let mut ctx = ShapeCtx::new();
         assert_eq!(ctx.matmul(st(2, 3), st(3, 5)), st(2, 5));
         assert_eq!(ctx.matmul_nt(st(2, 3), st(5, 3)), st(2, 5));
-        assert_eq!(ctx.matmul_tn(st(3, 2), st(3, 5)), st(2, 5));
         assert!(ctx.issues().is_empty());
-        assert_eq!(ctx.ops_checked(), 3);
+        assert_eq!(ctx.finish().ops_checked, 2);
     }
 
     #[test]
@@ -484,11 +489,11 @@ mod tests {
     #[test]
     fn index_space_checks() {
         let mut ctx = ShapeCtx::new();
-        assert_eq!(ctx.gather_rows(st(10, 4), &[0, 9]), st(2, 4));
+        assert_eq!(ctx.gather_rows(st(10, 4), Rc::new(vec![0, 9])), st(2, 4));
         assert!(ctx.issues().is_empty());
-        ctx.gather_rows(st(10, 4), &[10]);
-        ctx.scatter_add_rows(st(2, 4), &[0, 7], 7);
-        ctx.gather_cols(st(3, 5), &[0, 5, 1]);
+        ctx.gather_rows(st(10, 4), Rc::new(vec![10]));
+        ctx.scatter_add_rows(st(2, 4), Rc::new(vec![0, 7]), 7);
+        ctx.gather_cols(st(3, 5), Rc::new(vec![0, 5, 1]));
         assert_eq!(ctx.issues().len(), 3);
         assert!(ctx.issues()[0].detail.contains("index 10"));
         assert!(ctx.issues()[1].detail.contains("index 7"));

@@ -2,15 +2,16 @@
 //!
 //! Where [`crate::shape`] erases tensors down to dimensions, this module
 //! erases them down to an [`Interval`] per tensor — `[lo, hi]` bounds in
-//! f64 plus may-be-NaN / may-be-inf flags — and replays the model's op
-//! vocabulary over that domain using the per-op transfer functions that
-//! live next to the kernels in [`retia_tensor::transfer`]. Three coupled
-//! analyses run over one abstract execution:
+//! f64 plus may-be-NaN / may-be-inf flags. [`AuditCtx`] implements the
+//! [`Ops`] vocabulary over that domain with the per-op transfer functions
+//! that live next to the kernels in [`retia_tensor::transfer`], so running
+//! the model's own generic step on it is the audit. Three coupled analyses
+//! run over one abstract execution:
 //!
 //! 1. **Finiteness**: any op whose abstract output admits NaN/inf *when its
 //!    inputs did not* records an [`AuditIssue`] blaming the enclosing
 //!    module/equation scope (same poison-recovery discipline as the shape
-//!    interpreter: the replay continues, downstream ops do not re-report
+//!    interpreter: the run continues, downstream ops do not re-report
 //!    inherited non-finiteness).
 //! 2. **Gradient-flow reachability** ([`crate::gradflow`]): every op also
 //!    records its input edges, building an abstract tape. After the loss is
@@ -25,10 +26,13 @@
 //!    order-sensitive accumulation is a finding.
 
 use std::fmt;
+use std::rc::Rc;
 
 use retia_tensor::transfer::{self, Interval};
+use retia_tensor::{Ops, ParamStore};
 
 use crate::gradflow;
+use crate::shape::scope_frame;
 
 /// Assumed magnitude envelope for trained parameters (and the entity /
 /// relation embeddings they initialize). Xavier init keeps weights well
@@ -49,6 +53,8 @@ pub(crate) struct AbsNode {
     pub inputs: Vec<usize>,
     /// `Some(store_name)` when this node is a trainable parameter input.
     pub param: Option<String>,
+    /// Transfer key of the op that produced this node; `None` for inputs.
+    pub key: Option<&'static str>,
     /// Scope path active when the node was created (used to blame
     /// unreachable parameters at their declaration site).
     pub path: String,
@@ -63,6 +69,8 @@ pub enum AuditKind {
     GradFlow,
     /// An undeclared (or unsound) reduction reorder.
     Reorder,
+    /// A layer precondition ([`Ops::check`]) failed.
+    Shape,
 }
 
 impl AuditKind {
@@ -71,6 +79,7 @@ impl AuditKind {
             AuditKind::NonFinite => "non-finite",
             AuditKind::GradFlow => "gradient-flow",
             AuditKind::Reorder => "reduction-order",
+            AuditKind::Shape => "shape",
         }
     }
 }
@@ -162,9 +171,12 @@ impl fmt::Display for AuditReport {
 
 impl std::error::Error for AuditReport {}
 
-/// The value-domain interpreter. API mirrors [`crate::ShapeCtx`]: ops
-/// record findings instead of panicking and return the abstract value they
-/// would have produced, so one pass collects everything.
+/// The value-domain interpreter: implements the [`Ops`] vocabulary over
+/// intervals. Like [`crate::ShapeCtx`], ops record findings instead of
+/// panicking and return the abstract value they would have produced, so
+/// one pass collects everything. The default context audits a training
+/// step, mirroring `Graph::new(true, _)`: parameters are trainable
+/// declarations and dropout is live.
 #[derive(Debug, Default)]
 pub struct AuditCtx {
     scope: Vec<String>,
@@ -174,39 +186,33 @@ pub struct AuditCtx {
     detaches: Vec<DeclaredDetach>,
     params_declared: usize,
     params_reached: usize,
+    inference: bool,
 }
 
 impl AuditCtx {
+    /// An audit of a training step.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Runs `f` with `module` (and optionally a paper-equation tag) pushed
-    /// onto the scope path; findings recorded inside are attributed to it.
-    pub fn scoped<R>(
-        &mut self,
-        module: &str,
-        equation: Option<&str>,
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> R {
-        let frame = match equation {
-            Some(eq) => format!("{module} [{eq}]"),
-            None => module.to_string(),
-        };
-        self.scope.push(frame);
-        let out = f(self);
-        self.scope.pop();
-        out
-    }
-
-    /// Number of op/flow checks performed so far.
-    pub fn ops_checked(&self) -> usize {
-        self.ops_checked
+    /// An audit of an inference pass, mirroring `Graph::inference()`:
+    /// parameters enter as constant sources under the [`PARAM_BOUND`]
+    /// envelope, so nothing trainable reaches the tape, and dropout is the
+    /// identity.
+    pub fn inference() -> Self {
+        AuditCtx { inference: true, ..Self::default() }
     }
 
     /// Findings recorded so far (drained by [`AuditCtx::finish`]).
     pub fn issues(&self) -> &[AuditIssue] {
         &self.issues
+    }
+
+    /// Transfer keys of every op on the abstract tape, in execution order:
+    /// the same sequence `Graph::tape_transfer_keys` reports for a real run
+    /// of the same code.
+    pub fn transfer_keys(&self) -> Vec<&'static str> {
+        self.nodes.iter().filter_map(|n| n.key).collect()
     }
 
     /// Consumes the context into an [`AuditReport`].
@@ -222,7 +228,14 @@ impl AuditCtx {
 
     // ---- inputs -----------------------------------------------------------
 
-    fn push(&mut self, rows: usize, cols: usize, iv: Interval, inputs: Vec<usize>) -> AbsId {
+    fn push(
+        &mut self,
+        rows: usize,
+        cols: usize,
+        iv: Interval,
+        inputs: Vec<usize>,
+        key: Option<&'static str>,
+    ) -> AbsId {
         self.nodes.push(AbsNode {
             rows,
             cols,
@@ -230,6 +243,7 @@ impl AuditCtx {
             inputs,
             param: None,
             path: self.scope.join(" / "),
+            key,
         });
         AbsId(self.nodes.len() - 1)
     }
@@ -237,14 +251,14 @@ impl AuditCtx {
     /// A non-trainable input (constants, data tensors, frozen states) with
     /// a declared value envelope.
     pub fn source(&mut self, rows: usize, cols: usize, iv: Interval) -> AbsId {
-        self.push(rows, cols, iv, Vec::new())
+        self.push(rows, cols, iv, Vec::new(), None)
     }
 
     /// A trainable parameter, by its `ParamStore` name, bounded by the
     /// [`PARAM_BOUND`] envelope. Declaring the same name at several sites
     /// (as the per-snapshot loops do) references one parameter.
-    pub fn param(&mut self, name: &str, rows: usize, cols: usize) -> AbsId {
-        let id = self.push(rows, cols, Interval::new(-PARAM_BOUND, PARAM_BOUND), Vec::new());
+    pub(crate) fn declare_param(&mut self, name: &str, rows: usize, cols: usize) -> AbsId {
+        let id = self.source(rows, cols, Interval::new(-PARAM_BOUND, PARAM_BOUND));
         self.nodes[id.0].param = Some(name.to_string());
         id
     }
@@ -257,7 +271,7 @@ impl AuditCtx {
             let n = &self.nodes[x.0];
             (n.rows, n.cols, n.iv)
         };
-        let id = self.push(rows, cols, iv, Vec::new());
+        let id = self.source(rows, cols, iv);
         self.detaches
             .push(DeclaredDetach { path: self.nodes[id.0].path.clone(), reason: reason.into() });
         id
@@ -268,11 +282,6 @@ impl AuditCtx {
         self.nodes[x.0].iv
     }
 
-    /// `(rows, cols)` of a node.
-    pub fn shape(&self, x: AbsId) -> (usize, usize) {
-        (self.nodes[x.0].rows, self.nodes[x.0].cols)
-    }
-
     // ---- finding machinery ------------------------------------------------
 
     fn record(&mut self, kind: AuditKind, op: impl Into<String>, detail: String) {
@@ -281,7 +290,7 @@ impl AuditCtx {
 
     /// Registers the output of op `key` over `inputs`: flags a finiteness
     /// finding iff the op *introduces* non-finiteness (all inputs finite,
-    /// output admits NaN/inf), then pushes the node so the replay continues.
+    /// output admits NaN/inf), then pushes the node so the run continues.
     fn op(
         &mut self,
         key: &'static str,
@@ -307,254 +316,36 @@ impl AuditCtx {
                 format!("abstract output {iv} admits {what} from finite inputs"),
             );
         }
-        self.push(rows, cols, iv, inputs.iter().map(|i| i.0).collect())
+        self.push(rows, cols, iv, inputs.iter().map(|i| i.0).collect(), Some(key))
     }
 
-    fn iv(&self, x: AbsId) -> Interval {
-        self.nodes[x.0].iv
+    /// A shape-preserving op whose output interval is `iv`.
+    fn elementwise(&mut self, key: &'static str, inputs: &[AbsId], iv: Interval) -> AbsId {
+        let (r, c) = self.shape(inputs[0]);
+        self.op(key, inputs, r, c, iv)
     }
 
-    // ---- elementwise ------------------------------------------------------
-
-    pub fn add(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let iv = transfer::add(self.iv(a), self.iv(b));
-        let (r, c) = self.shape(a);
-        self.op("add", &[a, b], r, c, iv)
-    }
-
-    pub fn sub(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let iv = transfer::sub(self.iv(a), self.iv(b));
-        let (r, c) = self.shape(a);
-        self.op("sub", &[a, b], r, c, iv)
-    }
-
-    pub fn mul(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let iv = transfer::mul(self.iv(a), self.iv(b));
-        let (r, c) = self.shape(a);
-        self.op("mul", &[a, b], r, c, iv)
-    }
-
-    /// Row-broadcast add (`x + bias`).
-    pub fn add_bias(&mut self, x: AbsId, bias: AbsId) -> AbsId {
-        let iv = transfer::add(self.iv(x), self.iv(bias));
-        let (r, c) = self.shape(x);
-        self.op("add_bias", &[x, bias], r, c, iv)
-    }
-
-    /// Row-broadcast multiply.
-    pub fn mul_bias(&mut self, x: AbsId, w: AbsId) -> AbsId {
-        let iv = transfer::mul(self.iv(x), self.iv(w));
-        let (r, c) = self.shape(x);
-        self.op("mul_bias", &[x, w], r, c, iv)
-    }
-
-    /// Column-broadcast multiply.
-    pub fn mul_col(&mut self, x: AbsId, c: AbsId) -> AbsId {
-        let iv = transfer::mul(self.iv(x), self.iv(c));
-        let (r, cols) = self.shape(x);
-        self.op("mul_col", &[x, c], r, cols, iv)
-    }
-
-    pub fn scale(&mut self, x: AbsId, s: f64) -> AbsId {
-        let iv = transfer::scale(self.iv(x), s);
-        let (r, c) = self.shape(x);
-        self.op("scale", &[x], r, c, iv)
-    }
-
-    pub fn add_scalar(&mut self, x: AbsId, s: f64) -> AbsId {
-        let iv = transfer::add_scalar(self.iv(x), s);
-        let (r, c) = self.shape(x);
-        self.op("add_scalar", &[x], r, c, iv)
-    }
-
-    /// Elementwise division — pole rule from [`transfer::div`].
-    pub fn div(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let iv = transfer::div(self.iv(a), self.iv(b));
-        let (r, c) = self.shape(a);
-        self.op("div", &[a, b], r, c, iv)
-    }
-
-    // ---- matmul family ----------------------------------------------------
-
-    /// `a @ b`: inner accumulation over `a.cols` terms.
-    pub fn matmul(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let k = self.shape(a).1;
-        let iv = transfer::dot(self.iv(a), self.iv(b), k);
-        let (ar, _) = self.shape(a);
-        let (_, bc) = self.shape(b);
-        self.op("matmul", &[a, b], ar, bc, iv)
-    }
-
-    /// `a @ b^T`.
-    pub fn matmul_nt(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let k = self.shape(a).1;
-        let iv = transfer::dot(self.iv(a), self.iv(b), k);
-        let (ar, _) = self.shape(a);
-        let (br, _) = self.shape(b);
-        self.op("matmul_nt", &[a, b], ar, br, iv)
-    }
-
-    /// 1-D convolution (`'same'` padding): accumulation over
-    /// `in_ch * ksize` taps plus the channel bias.
-    pub fn conv1d(
-        &mut self,
-        x: AbsId,
-        w: AbsId,
-        b: AbsId,
-        in_ch: usize,
-        out_ch: usize,
-        ksize: usize,
-    ) -> AbsId {
-        let acc = transfer::dot(self.iv(x), self.iv(w), in_ch * ksize);
-        let iv = transfer::add(acc, self.iv(b));
-        let (rows, cols) = self.shape(x);
-        let width = cols.checked_div(in_ch).unwrap_or(0);
-        self.op("conv1d", &[x, w, b], rows, out_ch * width, iv)
-    }
-
-    // ---- nonlinearities ---------------------------------------------------
-
-    pub fn sigmoid(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::sigmoid(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("sigmoid", &[x], r, c, iv)
-    }
-
-    pub fn tanh(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::tanh(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("tanh", &[x], r, c, iv)
-    }
-
-    pub fn relu(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::relu(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("relu", &[x], r, c, iv)
-    }
-
-    /// Randomized leaky ReLU (negative slope in `[0, 1]`).
-    pub fn rrelu(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::rrelu(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("rrelu", &[x], r, c, iv)
-    }
+    // ---- ops outside the shared vocabulary --------------------------------
 
     /// Unguarded exponential — the overflow rule flags any input that can
     /// exceed `ln(f32::MAX)`. The shipped model has no bare `exp`; this is
     /// the op the audit exists to veto in future kernels.
     pub fn exp(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::exp(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("exp", &[x], r, c, iv)
+        let iv = transfer::exp(self.interval(x));
+        self.elementwise("exp", &[x], iv)
     }
 
-    /// `ln(x + eps)` — pole rule from [`transfer::ln`].
-    pub fn ln(&mut self, x: AbsId, eps: f64) -> AbsId {
-        let iv = transfer::ln(self.iv(x), eps);
-        let (r, c) = self.shape(x);
-        self.op("ln", &[x], r, c, iv)
+    /// Elementwise division — pole rule from [`transfer::div`].
+    pub fn div(&mut self, a: AbsId, b: AbsId) -> AbsId {
+        let iv = transfer::div(self.interval(a), self.interval(b));
+        self.elementwise("div", &[a, b], iv)
     }
 
-    /// Inverted dropout at the given rate.
-    pub fn dropout(&mut self, x: AbsId, rate: f64) -> AbsId {
-        let iv = transfer::dropout(self.iv(x), rate);
-        let (r, c) = self.shape(x);
-        self.op("dropout", &[x], r, c, iv)
-    }
-
-    // ---- gathers / scatters / layout -------------------------------------
-
-    /// Gather `count` rows: values are drawn from `x`.
-    pub fn gather_rows(&mut self, x: AbsId, count: usize) -> AbsId {
-        let iv = self.iv(x);
-        let (_, c) = self.shape(x);
-        self.op("gather_rows", &[x], count, c, iv)
-    }
-
-    /// Scatter-add `x`'s rows into a zeroed `[out_rows, cols]` output; in
-    /// the worst case every source row collides on one output row.
-    pub fn scatter_add_rows(&mut self, x: AbsId, out_rows: usize) -> AbsId {
-        let (src_rows, c) = self.shape(x);
-        let iv = transfer::scatter_add(self.iv(x), src_rows);
-        self.op("scatter_add_rows", &[x], out_rows, c, iv)
-    }
-
-    /// Per-row scaling by data-dependent weights inside `weights`.
-    pub fn row_scale(&mut self, x: AbsId, weights: Interval) -> AbsId {
-        let iv = transfer::mul(self.iv(x), weights);
-        let (r, c) = self.shape(x);
-        self.op("row_scale", &[x], r, c, iv)
-    }
-
-    pub fn concat_cols(&mut self, a: AbsId, b: AbsId) -> AbsId {
-        let iv = self.iv(a).hull(self.iv(b));
-        let (r, ac) = self.shape(a);
-        let (_, bc) = self.shape(b);
-        self.op("concat_cols", &[a, b], r, ac + bc, iv)
-    }
-
-    pub fn slice_cols(&mut self, x: AbsId, start: usize, end: usize) -> AbsId {
-        let iv = self.iv(x);
-        let (r, _) = self.shape(x);
-        self.op("slice_cols", &[x], r, end.saturating_sub(start), iv)
-    }
-
-    /// `out[i, 0] = x[i, cols[i]]`.
-    pub fn gather_cols(&mut self, x: AbsId) -> AbsId {
-        let iv = self.iv(x);
-        let (r, _) = self.shape(x);
-        self.op("gather_cols", &[x], r, 1, iv)
-    }
-
-    // ---- reductions / normalizers ----------------------------------------
-
-    pub fn softmax_rows(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::softmax(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("softmax_rows", &[x], r, c, iv)
-    }
-
-    /// Fused softmax + cross-entropy.
+    /// Fused softmax + cross-entropy, per row.
     pub fn softmax_xent(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::softmax_xent(self.iv(x));
+        let iv = transfer::softmax_xent(self.interval(x));
         let (r, _) = self.shape(x);
         self.op("softmax_xent", &[x], r, 1, iv)
-    }
-
-    pub fn mean_all(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::mean(self.iv(x));
-        self.op("mean_all", &[x], 1, 1, iv)
-    }
-
-    pub fn sum_all(&mut self, x: AbsId) -> AbsId {
-        let (r, c) = self.shape(x);
-        let iv = transfer::sum(self.iv(x), r * c);
-        self.op("sum_all", &[x], 1, 1, iv)
-    }
-
-    pub fn sum_rows(&mut self, x: AbsId) -> AbsId {
-        let (r, c) = self.shape(x);
-        let iv = transfer::sum(self.iv(x), c);
-        self.op("sum_rows", &[x], r, 1, iv)
-    }
-
-    pub fn add_n(&mut self, xs: &[AbsId]) -> AbsId {
-        let ivs: Vec<Interval> = xs.iter().map(|x| self.iv(*x)).collect();
-        let iv = transfer::add_n(&ivs);
-        let (r, c) = xs.first().map(|x| self.shape(*x)).unwrap_or((0, 0));
-        self.op("add_n", xs, r, c, iv)
-    }
-
-    pub fn normalize_rows(&mut self, x: AbsId) -> AbsId {
-        let iv = transfer::normalize_rows(self.iv(x));
-        let (r, c) = self.shape(x);
-        self.op("normalize_rows", &[x], r, c, iv)
-    }
-
-    pub fn layer_norm_rows(&mut self, x: AbsId) -> AbsId {
-        let (r, c) = self.shape(x);
-        let iv = transfer::layer_norm(self.iv(x), c);
-        self.op("layer_norm_rows", &[x], r, c, iv)
     }
 
     // ---- reduction-order declarations ------------------------------------
@@ -649,6 +440,222 @@ impl AuditCtx {
             });
         }
     }
+
+    /// `(rows, cols)` of a registered parameter; an unknown name records a
+    /// finding and yields an empty shape.
+    fn store_shape(&mut self, store: &ParamStore, name: &str) -> (usize, usize) {
+        let known = store.contains(name);
+        self.check("param", known, || format!("unknown parameter `{name}`"));
+        if known {
+            store.value(name).shape()
+        } else {
+            (0, 0)
+        }
+    }
+}
+
+/// Shape-preserving ops whose output interval is one transfer function of
+/// the input intervals. `rrelu`'s transfer admits any negative slope in
+/// `[0, 1]`, covering training draws and the fixed evaluation slope.
+macro_rules! elementwise {
+    ($($name:ident($($arg:ident),+) => $transfer:path;)*) => {
+        $(fn $name(&mut self, $($arg: AbsId),+) -> AbsId {
+            let iv = $transfer($(self.interval($arg)),+);
+            self.elementwise(stringify!($name), &[$($arg),+], iv)
+        })*
+    };
+}
+
+impl Ops for AuditCtx {
+    type Node = AbsId;
+
+    /// A trainable declaration in a training audit; a constant source under
+    /// the parameter envelope in an inference audit. Shapes come from
+    /// `store`; an unknown name is a finding (the real graph would panic).
+    fn param(&mut self, store: &ParamStore, name: &str) -> AbsId {
+        if self.inference {
+            return self.param_value(store, name);
+        }
+        let (rows, cols) = self.store_shape(store, name);
+        self.declare_param(name, rows, cols)
+    }
+
+    fn param_value(&mut self, store: &ParamStore, name: &str) -> AbsId {
+        let (rows, cols) = self.store_shape(store, name);
+        self.source(rows, cols, Interval::new(-PARAM_BOUND, PARAM_BOUND))
+    }
+
+    fn zeros(&mut self, rows: usize, cols: usize) -> AbsId {
+        self.source(rows, cols, Interval::point(0.0))
+    }
+
+    fn shape(&self, x: AbsId) -> (usize, usize) {
+        (self.nodes[x.0].rows, self.nodes[x.0].cols)
+    }
+
+    fn check(&mut self, op: &'static str, cond: bool, detail: impl FnOnce() -> String) {
+        self.ops_checked += 1;
+        if !cond {
+            self.record(AuditKind::Shape, op, detail());
+        }
+    }
+
+    fn scoped<R>(
+        &mut self,
+        module: &str,
+        equation: Option<&str>,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        self.scope.push(scope_frame(module, equation));
+        let out = f(self);
+        self.scope.pop();
+        out
+    }
+
+    fn scale(&mut self, x: AbsId, s: f32) -> AbsId {
+        let iv = transfer::scale(self.interval(x), f64::from(s));
+        self.elementwise("scale", &[x], iv)
+    }
+
+    fn add_scalar(&mut self, x: AbsId, s: f32) -> AbsId {
+        let iv = transfer::add_scalar(self.interval(x), f64::from(s));
+        self.elementwise("add_scalar", &[x], iv)
+    }
+
+    /// Inner accumulation over `a.cols` terms.
+    fn matmul(&mut self, a: AbsId, b: AbsId) -> AbsId {
+        let (ar, k) = self.shape(a);
+        let iv = transfer::dot(self.interval(a), self.interval(b), k);
+        let (_, bc) = self.shape(b);
+        self.op("matmul", &[a, b], ar, bc, iv)
+    }
+
+    fn matmul_nt(&mut self, a: AbsId, b: AbsId) -> AbsId {
+        let (ar, k) = self.shape(a);
+        let iv = transfer::dot(self.interval(a), self.interval(b), k);
+        let (br, _) = self.shape(b);
+        self.op("matmul_nt", &[a, b], ar, br, iv)
+    }
+
+    /// Accumulation over `in_ch * ksize` taps plus the channel bias.
+    fn conv1d(
+        &mut self,
+        x: AbsId,
+        w: AbsId,
+        b: AbsId,
+        in_ch: usize,
+        out_ch: usize,
+        ksize: usize,
+    ) -> AbsId {
+        let acc = transfer::dot(self.interval(x), self.interval(w), in_ch * ksize);
+        let iv = transfer::add(acc, self.interval(b));
+        let (rows, cols) = self.shape(x);
+        let width = cols.checked_div(in_ch).unwrap_or(0);
+        self.op("conv1d", &[x, w, b], rows, out_ch * width, iv)
+    }
+
+    /// Identity (no op) outside training or at rate 0, as in `Graph`.
+    fn dropout(&mut self, x: AbsId, p: f32) -> AbsId {
+        if self.inference || p <= 0.0 {
+            return x;
+        }
+        let iv = transfer::dropout(self.interval(x), f64::from(p));
+        self.elementwise("dropout", &[x], iv)
+    }
+
+    /// Values are drawn from `x`.
+    fn gather_rows(&mut self, x: AbsId, indices: Rc<Vec<u32>>) -> AbsId {
+        let iv = self.interval(x);
+        let (_, c) = self.shape(x);
+        self.op("gather_rows", &[x], indices.len(), c, iv)
+    }
+
+    /// In the worst case every source row collides on one output row.
+    fn scatter_add_rows(&mut self, x: AbsId, _: Rc<Vec<u32>>, out_rows: usize) -> AbsId {
+        let (src_rows, c) = self.shape(x);
+        let iv = transfer::scatter_add(self.interval(x), src_rows);
+        self.op("scatter_add_rows", &[x], out_rows, c, iv)
+    }
+
+    /// Scaled by weights inside the hull of `weights` and 0.
+    fn row_scale(&mut self, x: AbsId, weights: Rc<Vec<f32>>) -> AbsId {
+        let (lo, hi) = weights
+            .iter()
+            .map(|&w| f64::from(w))
+            .fold((0.0f64, 0.0f64), |(lo, hi), w| (lo.min(w), hi.max(w)));
+        let iv = transfer::mul(self.interval(x), Interval::new(lo, hi));
+        self.elementwise("row_scale", &[x], iv)
+    }
+
+    fn gather_cols(&mut self, x: AbsId, _: Rc<Vec<u32>>) -> AbsId {
+        let iv = self.interval(x);
+        let (r, _) = self.shape(x);
+        self.op("gather_cols", &[x], r, 1, iv)
+    }
+
+    fn concat_cols(&mut self, a: AbsId, b: AbsId) -> AbsId {
+        let iv = self.interval(a).hull(self.interval(b));
+        let (r, ac) = self.shape(a);
+        let (_, bc) = self.shape(b);
+        self.op("concat_cols", &[a, b], r, ac + bc, iv)
+    }
+
+    fn slice_cols(&mut self, x: AbsId, start: usize, end: usize) -> AbsId {
+        let iv = self.interval(x);
+        let (r, _) = self.shape(x);
+        self.op("slice_cols", &[x], r, end.saturating_sub(start), iv)
+    }
+
+    /// `ln(x + eps)` — pole rule from [`transfer::ln`].
+    fn ln(&mut self, x: AbsId, eps: f32) -> AbsId {
+        let iv = transfer::ln(self.interval(x), f64::from(eps));
+        self.elementwise("ln", &[x], iv)
+    }
+
+    fn mean_all(&mut self, x: AbsId) -> AbsId {
+        let iv = transfer::mean(self.interval(x));
+        self.op("mean_all", &[x], 1, 1, iv)
+    }
+
+    fn sum_all(&mut self, x: AbsId) -> AbsId {
+        let (r, c) = self.shape(x);
+        let iv = transfer::sum(self.interval(x), r * c);
+        self.op("sum_all", &[x], 1, 1, iv)
+    }
+
+    fn sum_rows(&mut self, x: AbsId) -> AbsId {
+        let (r, c) = self.shape(x);
+        let iv = transfer::sum(self.interval(x), c);
+        self.op("sum_rows", &[x], r, 1, iv)
+    }
+
+    fn add_n(&mut self, xs: &[AbsId]) -> AbsId {
+        let ivs: Vec<Interval> = xs.iter().map(|x| self.interval(*x)).collect();
+        let iv = transfer::add_n(&ivs);
+        let (r, c) = xs.first().map(|x| self.shape(*x)).unwrap_or((0, 0));
+        self.op("add_n", xs, r, c, iv)
+    }
+
+    fn layer_norm_rows(&mut self, x: AbsId) -> AbsId {
+        let (_, c) = self.shape(x);
+        let iv = transfer::layer_norm(self.interval(x), c);
+        self.elementwise("layer_norm_rows", &[x], iv)
+    }
+
+    elementwise! {
+        add(a, b) => transfer::add;
+        sub(a, b) => transfer::sub;
+        mul(a, b) => transfer::mul;
+        add_bias(x, bias) => transfer::add;
+        mul_bias(x, w) => transfer::mul;
+        mul_col(x, c) => transfer::mul;
+        sigmoid(x) => transfer::sigmoid;
+        tanh(x) => transfer::tanh;
+        relu(x) => transfer::relu;
+        rrelu(x) => transfer::rrelu;
+        softmax_rows(x) => transfer::softmax;
+        normalize_rows(x) => transfer::normalize_rows;
+    }
 }
 
 #[cfg(test)]
@@ -688,8 +695,10 @@ mod tests {
     #[test]
     fn gradient_flow_reports_detached_param() {
         let mut ctx = AuditCtx::new();
-        let w = ctx.scoped("tim.lstm", Some("Eq. 7-8"), |ctx| ctx.param("tim_lstm.w", 4, 4));
-        let used = ctx.scoped("ram", Some("Eq. 1-2"), |ctx| ctx.param("ram.l0.wself", 4, 4));
+        let w =
+            ctx.scoped("tim.lstm", Some("Eq. 7-8"), |ctx| ctx.declare_param("tim_lstm.w", 4, 4));
+        let used =
+            ctx.scoped("ram", Some("Eq. 1-2"), |ctx| ctx.declare_param("ram.l0.wself", 4, 4));
         // `w` flows only into a detached value; `used` reaches the loss.
         let h = ctx.tanh(w);
         let _cut = ctx.detach(h, "test boundary");
@@ -710,7 +719,7 @@ mod tests {
     fn frozen_declarations_flip_both_ways() {
         // Declared frozen and indeed unreached: clean.
         let mut ctx = AuditCtx::new();
-        let w = ctx.param("hyper0", 2, 2);
+        let w = ctx.declare_param("hyper0", 2, 2);
         let live = ctx.source(2, 2, Interval::new(-1.0, 1.0));
         let _ = ctx.tanh(w);
         let loss = ctx.mean_all(live);
@@ -719,7 +728,7 @@ mod tests {
 
         // Declared frozen but reached: finding.
         let mut ctx = AuditCtx::new();
-        let w = ctx.param("hyper0", 2, 2);
+        let w = ctx.declare_param("hyper0", 2, 2);
         let loss = ctx.mean_all(w);
         ctx.check_gradient_flow(loss, &[FrozenParam::new("hyper0", "ablated")]);
         let report = ctx.finish();
@@ -750,7 +759,7 @@ mod tests {
         let _ = ctx.softmax_rows(s);
         ctx.check_no_trainable_params();
         assert!(ctx.issues().is_empty());
-        let _ = ctx.param("dec_e.fc.w", 2, 2);
+        let _ = ctx.declare_param("dec_e.fc.w", 2, 2);
         ctx.check_no_trainable_params();
         let report = ctx.finish();
         assert_eq!(report.issues.len(), 1);

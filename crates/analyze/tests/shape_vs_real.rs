@@ -9,7 +9,7 @@ use std::rc::Rc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use retia_analyze::{ShapeCtx, ShapeTensor};
-use retia_tensor::{Graph, NodeId, Tensor};
+use retia_tensor::{Graph, NodeId, Ops, Tensor};
 
 /// One live value tracked through both executions.
 #[derive(Clone, Copy)]
@@ -76,31 +76,30 @@ fn random_op_sequences_agree_with_real_execution() {
                     }
                 }
                 7 => {
-                    let idx: Vec<u32> = (0..rng.gen_range(1..8usize))
-                        .map(|_| rng.gen_range(0..rows) as u32)
-                        .collect();
+                    let idx: Rc<Vec<u32>> = Rc::new(
+                        (0..rng.gen_range(1..8usize))
+                            .map(|_| rng.gen_range(0..rows) as u32)
+                            .collect(),
+                    );
                     Twin {
-                        real: g.gather_rows(t.real, Rc::new(idx.clone())),
-                        abst: ctx.gather_rows(t.abst, &idx),
+                        real: g.gather_rows(t.real, idx.clone()),
+                        abst: ctx.gather_rows(t.abst, idx),
                     }
                 }
                 8 => {
                     let out_rows = rows + rng.gen_range(0..3usize);
-                    let idx: Vec<u32> =
-                        (0..rows).map(|_| rng.gen_range(0..out_rows) as u32).collect();
+                    let idx: Rc<Vec<u32>> =
+                        Rc::new((0..rows).map(|_| rng.gen_range(0..out_rows) as u32).collect());
                     Twin {
-                        real: g.scatter_add_rows(t.real, Rc::new(idx.clone()), out_rows),
-                        abst: ctx.scatter_add_rows(t.abst, &idx, out_rows),
+                        real: g.scatter_add_rows(t.real, idx.clone(), out_rows),
+                        abst: ctx.scatter_add_rows(t.abst, idx, out_rows),
                     }
                 }
                 9 => {
-                    let w: Vec<f32> = (0..rows).map(|_| 1.0).collect();
-                    Twin {
-                        real: g.row_scale(t.real, Rc::new(w.clone())),
-                        abst: ctx.row_scale(t.abst, w.len()),
-                    }
+                    let w: Rc<Vec<f32>> = Rc::new((0..rows).map(|_| 1.0).collect());
+                    Twin { real: g.row_scale(t.real, w.clone()), abst: ctx.row_scale(t.abst, w) }
                 }
-                10 => Twin { real: g.relu(t.real), abst: ctx.unary("relu", t.abst) },
+                10 => Twin { real: g.relu(t.real), abst: ctx.relu(t.abst) },
                 _ => Twin { real: g.sum_rows(t.real), abst: ctx.sum_rows(t.abst) },
             };
             assert!(

@@ -1,43 +1,25 @@
-//! Model-level value audit: an abstract interpretation of one full training
-//! step (evolve → decode → loss → backward) over the interval + finiteness
-//! domain, plus gradient-flow reachability from the loss and reduction-order
+//! Model-level value audit: one full training step (evolve → decode → loss
+//! → backward) run on the interval + finiteness interpreter, plus
+//! gradient-flow reachability from the loss and reduction-order
 //! declarations. The complement of [`Retia::validate`]: where the shape dry
 //! run proves the tensors *wire together*, the audit proves the wired model
 //! cannot produce NaN/inf under the [`retia_analyze::value::PARAM_BOUND`]
 //! parameter envelope and that every trainable parameter either receives
 //! gradient or is declared frozen (with the ablation flag that freezes it).
 //!
-//! The replay is built from the per-layer `audit` twins in `retia_nn`
-//! composed exactly as [`Retia::evolve`]/[`Retia::loss`] compose the real
-//! layers, over the same synthetic window the shape dry run uses. `retia
-//! audit` surfaces it; the trainer pre-flight and the serve boot check run
-//! it before any real work.
+//! The audited step is the model's own generic code ([`Retia::evolve`] and
+//! the joint loss) run on an [`AuditCtx`] over the same synthetic window the
+//! shape dry run uses. `retia audit` surfaces it; the trainer pre-flight and
+//! the serve boot check run it before any real work.
 
-use retia_analyze::value::PARAM_BOUND;
+use retia_analyze::value::AbsId;
 use retia_analyze::{AuditCtx, AuditIssue, AuditKind, AuditReport, FrozenParam};
 use retia_graph::{HyperSnapshot, NUM_HYPERRELS_WITH_INV};
-use retia_nn::audit_mean_pool_segments;
-use retia_tensor::transfer::Interval;
+use retia_tensor::Ops;
 
 use crate::config::{HyperrelMode, RelationMode, RetiaConfig};
-use crate::model::{entity_queries, relation_queries, Retia};
+use crate::model::Retia;
 use crate::validate::synthetic_window;
-
-/// Seeded-bug injections for the audit replay. All `false` in production;
-/// tests flip one at a time to prove the audit catches each class with the
-/// right module + equation attribution.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct AuditOptions {
-    /// (a) Sever the TIM LSTM output from the loss *without* declaring the
-    /// detach: its gate weights must be reported unreached.
-    pub detach_tim_output: bool,
-    /// (b) Apply an unguarded `exp` to the decode logits: the overflow rule
-    /// must flag it inside the entity decoder scope.
-    pub exp_logits: bool,
-    /// (c) Declare a reorder of the softmax row-sum accumulation: the
-    /// sensitivity map must veto it.
-    pub reorder_softmax_sum: bool,
-}
 
 impl Retia {
     /// Audits one full training step on abstract values alone: finiteness
@@ -47,207 +29,28 @@ impl Retia {
     /// introduce NaN/inf and every parameter's gradient disposition matches
     /// the configuration. Costs no floating-point tensor work.
     pub fn audit(&self) -> AuditReport {
-        self.audit_run(&AuditOptions::default())
+        let (ctx, loss) = self.audit_step(AuditCtx::new());
+        self.audit_report(ctx, loss)
     }
 
-    pub(crate) fn audit_run(&self, opts: &AuditOptions) -> AuditReport {
-        let mut ctx = AuditCtx::new();
-        let n = self.num_entities();
-        let m = self.num_relations();
-        let m2 = 2 * m;
-        let d = self.cfg.dim;
-        let (snaps, hypers, target) = synthetic_window(n, m);
-        let param_iv = Interval::new(-PARAM_BOUND, PARAM_BOUND);
+    /// Runs the model's training step over the synthetic audit window on
+    /// `ops`, returning the interpreter and the loss node.
+    pub(crate) fn audit_step<O: Ops>(&self, mut ops: O) -> (O, O::Node) {
+        let (snaps, hypers, target) = synthetic_window(self.num_entities(), self.num_relations());
+        let loss = self.step_loss(&mut ops, &snaps, &hypers, &target);
+        (ops, loss)
+    }
 
-        // ---- initial embeddings (ablated ones enter as constants, exactly
-        // as `Retia::evolve` inserts them) ----
-        let ent0_raw =
-            if self.cfg.use_eam { ctx.param("ent0", n, d) } else { ctx.source(n, d, param_iv) };
-        let e0 = if self.cfg.normalize_entities { ctx.normalize_rows(ent0_raw) } else { ent0_raw };
-        let r0 = match self.cfg.relation_mode {
-            RelationMode::None => ctx.source(m2, d, param_iv),
-            _ => ctx.param("rel0", m2, d),
-        };
-        let hr0 = ctx.param("hyper0", NUM_HYPERRELS_WITH_INV, d);
-
-        // ---- evolve: the RAM/EAM/TIM recurrence (Eq. 1-10) ----
-        let mut e_prev = e0;
-        let mut r_prev = r0;
-        let mut hr_prev = hr0;
-        let mut c_prev = None;
-        let mut hc_prev = None;
-        let mut states = Vec::with_capacity(snaps.len());
-
-        for (snap, hyper) in snaps.iter().zip(hypers.iter()) {
-            let r_t = match self.cfg.relation_mode {
-                RelationMode::None | RelationMode::Static => r0,
-                RelationMode::Mp => ctx.scoped("tim", Some("Eq. 7"), |ctx| {
-                    let pooled = audit_mean_pool_segments(ctx, e_prev, &snap.rel_entities);
-                    let fb = ctx.row_scale(r0, Interval::new(0.0, 1.0));
-                    ctx.add(pooled, fb)
-                }),
-                RelationMode::MpLstm | RelationMode::MpLstmAgg => {
-                    let r_lstm = if self.cfg.use_tim {
-                        ctx.scoped("tim.lstm", Some("Eq. 7-8"), |ctx| {
-                            let pooled = audit_mean_pool_segments(ctx, e_prev, &snap.rel_entities);
-                            let r_mean = ctx.concat_cols(r0, pooled);
-                            let c0 =
-                                c_prev.unwrap_or_else(|| ctx.source(m2, d, Interval::point(0.0)));
-                            let (h, c) = self.tim_lstm.audit(ctx, r_mean, r_prev, c0);
-                            c_prev = Some(c);
-                            if opts.detach_tim_output {
-                                // Seeded bug (a): an *undeclared* detach —
-                                // the value flows on but the backward edge
-                                // is gone.
-                                let (rows, cols) = ctx.shape(h);
-                                let iv = ctx.interval(h);
-                                ctx.source(rows, cols, iv)
-                            } else {
-                                h
-                            }
-                        })
-                    } else {
-                        r_prev
-                    };
-
-                    if self.cfg.relation_mode == RelationMode::MpLstmAgg {
-                        let hr_t = match self.cfg.hyperrel_mode {
-                            HyperrelMode::Init => hr0,
-                            HyperrelMode::Hmp => ctx.scoped("tim.hyper", Some("Eq. 9"), |ctx| {
-                                let pooled =
-                                    audit_mean_pool_segments(ctx, r_lstm, &hyper.hrel_relations);
-                                let fb = ctx.row_scale(hr0, Interval::new(0.0, 1.0));
-                                ctx.add(pooled, fb)
-                            }),
-                            HyperrelMode::HmpHlstm => {
-                                ctx.scoped("tim.hyper_lstm", Some("Eq. 9-10"), |ctx| {
-                                    let pooled = audit_mean_pool_segments(
-                                        ctx,
-                                        r_lstm,
-                                        &hyper.hrel_relations,
-                                    );
-                                    let hr_mean = ctx.concat_cols(hr0, pooled);
-                                    let hc0 = hc_prev.unwrap_or_else(|| {
-                                        ctx.source(NUM_HYPERRELS_WITH_INV, d, Interval::point(0.0))
-                                    });
-                                    let (h, c) = self.hyper_lstm.audit(ctx, hr_mean, hr_prev, hc0);
-                                    hc_prev = Some(c);
-                                    hr_prev = h;
-                                    h
-                                })
-                            }
-                        };
-                        let r_agg = ctx.scoped("ram", Some("Eq. 1-2"), |ctx| {
-                            self.ram_rgcn.audit(ctx, r_lstm, hr_t, hyper)
-                        });
-                        ctx.scoped("ram.gru", Some("Eq. 3"), |ctx| {
-                            self.rel_gru.audit(ctx, r_agg, r_lstm)
-                        })
-                    } else {
-                        r_lstm
-                    }
-                }
-            };
-
-            let e_t = if self.cfg.use_eam {
-                ctx.scoped("eam", Some("Eq. 4-6"), |ctx| {
-                    let rel_for_eam =
-                        if self.cfg.use_tim { r_t } else { ctx.param("eam_rel0", m2, d) };
-                    let e_agg = self.eam_rgcn.audit(ctx, e_prev, rel_for_eam, snap);
-                    let e = self.ent_gru.audit(ctx, e_agg, e_prev);
-                    if self.cfg.normalize_entities {
-                        ctx.normalize_rows(e)
-                    } else {
-                        e
-                    }
-                })
-            } else {
-                e_prev
-            };
-
-            states.push((e_t, r_t));
-            e_prev = e_t;
-            r_prev = r_t;
-        }
-
-        // ---- decode + loss (Eq. 11-14) ----
-        let (subjects, _rels, _e_targets) = entity_queries(&target, m);
-        let pe = ctx.scoped("decode.entity", Some("Eq. 11/13"), |ctx| {
-            if opts.reorder_softmax_sum {
-                // Seeded bug (c): a shard plan over the softmax row-sum
-                // accumulation — order-sensitive, must be vetoed.
-                ctx.reorder("softmax_rows", "row-sum");
-            }
-            let mut probs = Vec::with_capacity(states.len());
-            for &(e_t, r_t) in &states {
-                let s_emb = ctx.gather_rows(e_t, subjects.len());
-                let r_emb = ctx.gather_rows(r_t, subjects.len());
-                let mut logits = self.dec_entity.audit(ctx, s_emb, r_emb, e_t);
-                if opts.exp_logits {
-                    // Seeded bug (b): an unguarded exponential over the
-                    // unbounded logits.
-                    logits = ctx.exp(logits);
-                }
-                probs.push(ctx.softmax_rows(logits));
-            }
-            ctx.add_n(&probs)
-        });
-
-        let (rs, _ro, _r_targets) = relation_queries(&target);
-        let pr = ctx.scoped("decode.relation", Some("Eq. 12/14"), |ctx| {
-            let mut probs = Vec::with_capacity(states.len());
-            for &(e_t, r_t) in &states {
-                let s_emb = ctx.gather_rows(e_t, rs.len());
-                let o_emb = ctx.gather_rows(e_t, rs.len());
-                let cand = ctx.gather_rows(r_t, m);
-                let logits = self.dec_relation.audit(ctx, s_emb, o_emb, cand);
-                probs.push(ctx.softmax_rows(logits));
-            }
-            ctx.add_n(&probs)
-        });
-
-        let loss = ctx.scoped("loss", Some("Eq. 13-14"), |ctx| {
-            let picked_e = ctx.gather_cols(pe);
-            let ln_e = ctx.ln(picked_e, 1e-9);
-            let mean_e = ctx.mean_all(ln_e);
-            let le = ctx.scale(mean_e, -1.0);
-            let picked_r = ctx.gather_cols(pr);
-            let ln_r = ctx.ln(picked_r, 1e-9);
-            let mean_r = ctx.mean_all(ln_r);
-            let lr = ctx.scale(mean_r, -1.0);
-            let we = ctx.scale(le, f64::from(self.cfg.lambda));
-            let wr = ctx.scale(lr, f64::from(1.0 - self.cfg.lambda));
-            let mut loss = ctx.add(we, wr);
-            if self.cfg.static_weight > 0.0 && self.cfg.use_eam {
-                let ent0 = ctx.param("ent0", n, d);
-                let e0n = ctx.normalize_rows(ent0);
-                let mut terms = Vec::with_capacity(states.len());
-                for (j, &(e_t, _)) in states.iter().enumerate() {
-                    let en =
-                        if self.cfg.normalize_entities { e_t } else { ctx.normalize_rows(e_t) };
-                    let prod = ctx.mul(en, e0n);
-                    let cos = ctx.sum_rows(prod);
-                    let angle = (f64::from(self.cfg.static_angle_deg) * (j + 1) as f64).min(90.0);
-                    let thr = angle.to_radians().cos();
-                    let neg = ctx.scale(cos, -1.0);
-                    let gap = ctx.add_scalar(neg, thr);
-                    let pen = ctx.relu(gap);
-                    terms.push(ctx.mean_all(pen));
-                }
-                let total = ctx.add_n(&terms);
-                let stat = ctx.scale(total, 1.0 / states.len().max(1) as f64);
-                let ws = ctx.scale(stat, f64::from(self.cfg.static_weight));
-                loss = ctx.add(loss, ws);
-            }
-            loss
-        });
-
+    /// Reconciles the audited step's gradient flow with the configuration's
+    /// frozen set, then cross-checks the parameter store.
+    pub(crate) fn audit_report(&self, mut ctx: AuditCtx, loss: AbsId) -> AuditReport {
+        let (_, hypers, _) = synthetic_window(self.num_entities(), self.num_relations());
         let frozen = self.frozen_params(&hypers);
         ctx.check_gradient_flow(loss, &frozen);
 
         // ---- store cross-check: every registered parameter must be on the
         // abstract tape or in the frozen table — a name in neither means the
-        // audit replay (or the model) forgot a module ----
+        // model forgot a module ----
         let declared = ctx.declared_param_names();
         let mut report = ctx.finish();
         for (name, _) in self.store().iter() {
@@ -385,10 +188,175 @@ pub fn audit_config(cfg: &RetiaConfig, num_entities: usize, num_relations: usize
 
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
+
+    use retia_tensor::{Graph, ParamStore};
+
     use super::*;
 
     fn tiny_cfg() -> RetiaConfig {
         RetiaConfig { dim: 8, channels: 4, k: 2, ..Default::default() }
+    }
+
+    /// Every relation/hyperrelation mode with each TIM/EAM pairing: the 45
+    /// configurations `retia audit --all-configs` sweeps.
+    fn all_configs() -> Vec<RetiaConfig> {
+        let mut out = Vec::new();
+        for rm in [
+            RelationMode::None,
+            RelationMode::Static,
+            RelationMode::Mp,
+            RelationMode::MpLstm,
+            RelationMode::MpLstmAgg,
+        ] {
+            for hm in [HyperrelMode::Init, HyperrelMode::Hmp, HyperrelMode::HmpHlstm] {
+                for (tim, eam) in [(true, true), (false, true), (true, false)] {
+                    out.push(RetiaConfig {
+                        relation_mode: rm,
+                        hyperrel_mode: hm,
+                        use_tim: tim,
+                        use_eam: eam,
+                        static_weight: 1.0,
+                        ..tiny_cfg()
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    fn label(cfg: &RetiaConfig) -> String {
+        format!(
+            "{:?}/{:?}/tim={}/eam={}",
+            cfg.relation_mode, cfg.hyperrel_mode, cfg.use_tim, cfg.use_eam
+        )
+    }
+
+    /// One seeded bug, injected from outside the model.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Fault {
+        /// The TIM LSTM reads undeclared detached copies of its weights, so
+        /// the declared weights never reach the loss.
+        DetachTimWeights,
+        /// An unguarded `exp` over the entity decoder's logits.
+        ExpLogits,
+        /// A declared reorder of the softmax row-sum accumulation.
+        ReorderSoftmaxSum,
+    }
+
+    /// An [`AuditCtx`] that forwards every op except at its fault's
+    /// injection point.
+    struct Seeded {
+        inner: AuditCtx,
+        fault: Fault,
+        modules: Vec<String>,
+    }
+
+    macro_rules! forward {
+        ($($name:ident($($arg:ident: $ty:ty),*);)*) => {
+            $(fn $name(&mut self, $($arg: $ty),*) -> AbsId {
+                self.inner.$name($($arg),*)
+            })*
+        };
+    }
+
+    impl Ops for Seeded {
+        type Node = AbsId;
+
+        fn param(&mut self, store: &ParamStore, name: &str) -> AbsId {
+            let p = self.inner.param(store, name);
+            if self.fault != Fault::DetachTimWeights || !name.starts_with("tim_lstm.") {
+                return p;
+            }
+            let (rows, cols) = self.inner.shape(p);
+            let iv = self.inner.interval(p);
+            self.inner.source(rows, cols, iv)
+        }
+
+        fn shape(&self, x: AbsId) -> (usize, usize) {
+            self.inner.shape(x)
+        }
+
+        fn check(&mut self, op: &'static str, cond: bool, detail: impl FnOnce() -> String) {
+            self.inner.check(op, cond, detail)
+        }
+
+        fn scoped<R>(
+            &mut self,
+            module: &str,
+            equation: Option<&str>,
+            f: impl FnOnce(&mut Self) -> R,
+        ) -> R {
+            // Run `f` on `self` while the inner context has the frame pushed.
+            let mut inner = std::mem::take(&mut self.inner);
+            let out = inner.scoped(module, equation, |scoped| {
+                std::mem::swap(scoped, &mut self.inner);
+                self.modules.push(module.to_string());
+                if self.fault == Fault::ReorderSoftmaxSum && module == "decode.entity" {
+                    self.inner.reorder("softmax_rows", "row-sum");
+                }
+                let out = f(self);
+                self.modules.pop();
+                std::mem::swap(scoped, &mut self.inner);
+                out
+            });
+            self.inner = inner;
+            out
+        }
+
+        fn softmax_rows(&mut self, x: AbsId) -> AbsId {
+            let in_entity_decode = self.modules.iter().any(|m| m == "decode.entity");
+            let x = if self.fault == Fault::ExpLogits && in_entity_decode {
+                self.inner.exp(x)
+            } else {
+                x
+            };
+            self.inner.softmax_rows(x)
+        }
+
+        fn add_n(&mut self, xs: &[AbsId]) -> AbsId {
+            self.inner.add_n(xs)
+        }
+
+        forward! {
+            param_value(store: &ParamStore, name: &str);
+            zeros(rows: usize, cols: usize);
+            add(a: AbsId, b: AbsId);
+            sub(a: AbsId, b: AbsId);
+            mul(a: AbsId, b: AbsId);
+            add_bias(x: AbsId, b: AbsId);
+            mul_bias(x: AbsId, w: AbsId);
+            mul_col(x: AbsId, c: AbsId);
+            scale(x: AbsId, s: f32);
+            add_scalar(x: AbsId, s: f32);
+            matmul(a: AbsId, b: AbsId);
+            matmul_nt(a: AbsId, b: AbsId);
+            conv1d(x: AbsId, w: AbsId, b: AbsId, in_ch: usize, out_ch: usize, ksize: usize);
+            sigmoid(x: AbsId);
+            tanh(x: AbsId);
+            relu(x: AbsId);
+            rrelu(x: AbsId);
+            dropout(x: AbsId, p: f32);
+            gather_rows(x: AbsId, indices: Rc<Vec<u32>>);
+            scatter_add_rows(x: AbsId, indices: Rc<Vec<u32>>, out_rows: usize);
+            row_scale(x: AbsId, weights: Rc<Vec<f32>>);
+            gather_cols(x: AbsId, cols: Rc<Vec<u32>>);
+            concat_cols(a: AbsId, b: AbsId);
+            slice_cols(x: AbsId, start: usize, end: usize);
+            ln(x: AbsId, eps: f32);
+            mean_all(x: AbsId);
+            sum_all(x: AbsId);
+            sum_rows(x: AbsId);
+            normalize_rows(x: AbsId);
+            layer_norm_rows(x: AbsId);
+        }
+    }
+
+    /// The audit of `model` with `fault` injected into its training step.
+    fn seeded_audit(model: &Retia, fault: Fault) -> AuditReport {
+        let seeded = Seeded { inner: AuditCtx::new(), fault, modules: Vec::new() };
+        let (seeded, loss) = model.audit_step(seeded);
+        model.audit_report(seeded.inner, loss)
     }
 
     #[test]
@@ -402,38 +370,34 @@ mod tests {
 
     #[test]
     fn every_ablation_mode_is_clean() {
-        for rm in [
-            RelationMode::None,
-            RelationMode::Static,
-            RelationMode::Mp,
-            RelationMode::MpLstm,
-            RelationMode::MpLstmAgg,
-        ] {
-            for hm in [HyperrelMode::Init, HyperrelMode::Hmp, HyperrelMode::HmpHlstm] {
-                for (tim, eam) in [(true, true), (false, true), (true, false)] {
-                    let cfg = RetiaConfig {
-                        relation_mode: rm,
-                        hyperrel_mode: hm,
-                        use_tim: tim,
-                        use_eam: eam,
-                        static_weight: 1.0,
-                        ..tiny_cfg()
-                    };
-                    let report = audit_config(&cfg, 9, 2);
-                    assert!(
-                        report.is_clean(),
-                        "findings for {rm:?}/{hm:?}/tim={tim}/eam={eam}:\n{report}"
-                    );
-                }
-            }
+        for cfg in all_configs() {
+            let report = audit_config(&cfg, 9, 2);
+            assert!(report.is_clean(), "findings for {}:\n{report}", label(&cfg));
+        }
+    }
+
+    #[test]
+    fn audit_runs_the_training_tape_op_for_op() {
+        // The audit runs the model's own step, so its abstract tape must
+        // record exactly the ops a real training step records on the same
+        // window, in the same order, in every configuration.
+        for cfg in all_configs() {
+            let model = Retia::with_shape(&cfg, 9, 2);
+            let (audited, _) = model.audit_step(AuditCtx::new());
+            let (snaps, hypers, target) = synthetic_window(9, 2);
+            let mut g = Graph::new(true, 7);
+            let states = model.evolve(&mut g, &snaps, &hypers);
+            let _ = model.loss(&mut g, &states, &target);
+            let real = g.tape_transfer_keys();
+            assert!(real.len() > 50, "{}: only {} tape ops", label(&cfg), real.len());
+            assert_eq!(audited.transfer_keys(), real, "{}: tapes diverge", label(&cfg));
         }
     }
 
     #[test]
     fn seeded_undeclared_detach_is_caught_in_the_tim() {
         let model = Retia::with_shape(&tiny_cfg(), 12, 3);
-        let report =
-            model.audit_run(&AuditOptions { detach_tim_output: true, ..Default::default() });
+        let report = seeded_audit(&model, Fault::DetachTimWeights);
         assert!(!report.is_clean(), "undeclared detach passed the audit");
         let flagged: Vec<_> =
             report.issues.iter().filter(|i| i.kind == retia_analyze::AuditKind::GradFlow).collect();
@@ -452,7 +416,7 @@ mod tests {
         // not flagged there.
         let cfg = RetiaConfig { dim: 32, channels: 8, k: 2, ..Default::default() };
         let model = Retia::with_shape(&cfg, 12, 3);
-        let report = model.audit_run(&AuditOptions { exp_logits: true, ..Default::default() });
+        let report = seeded_audit(&model, Fault::ExpLogits);
         assert!(!report.is_clean(), "unguarded exp passed the audit");
         assert!(
             report.issues.iter().any(|i| {
@@ -467,8 +431,7 @@ mod tests {
     #[test]
     fn seeded_reduction_reorder_is_caught() {
         let model = Retia::with_shape(&tiny_cfg(), 12, 3);
-        let report =
-            model.audit_run(&AuditOptions { reorder_softmax_sum: true, ..Default::default() });
+        let report = seeded_audit(&model, Fault::ReorderSoftmaxSum);
         assert!(!report.is_clean(), "order-sensitive reorder passed the audit");
         assert!(
             report.issues.iter().any(|i| {

@@ -13,14 +13,15 @@
 
 use std::rc::Rc;
 
-use retia_analyze::value::PARAM_BOUND;
+use retia_analyze::value::{AbsId, PARAM_BOUND};
 use retia_analyze::{AuditCtx, AuditReport};
 use retia_graph::{HyperSnapshot, Snapshot};
 use retia_tensor::transfer::Interval;
-use retia_tensor::{Graph, Tensor};
+use retia_tensor::{Graph, Ops, Tensor};
 
 use crate::config::RetiaConfig;
-use crate::model::{last_k, EvolvedState, Retia};
+use crate::model::{entity_queries, last_k, relation_queries, EvolvedState, Retia};
+use crate::validate::synthetic_window;
 
 /// Detached last-`k` evolved embeddings for one history window: the
 /// query-independent half of the decode, safe to cache and share.
@@ -243,8 +244,8 @@ impl FrozenModel {
         g.value(loss).item() as f64
     }
 
-    /// Value audit of the serving decode: replays the cached-state decode
-    /// (Eq. 11–14 without the loss) over the interval domain, with the
+    /// Value audit of the serving decode: runs the cached-state decode
+    /// (Eq. 11–14 without the loss) on an inference [`AuditCtx`], with the
     /// frozen window states entering as *declared* detach boundaries and
     /// the decoder weights as constant sources — then proves the abstract
     /// tape declares zero trainable parameters, which is exactly the
@@ -254,61 +255,27 @@ impl FrozenModel {
     ///
     /// The serve boot check runs this before accepting traffic.
     pub fn audit(&self) -> AuditReport {
-        let mut ctx = AuditCtx::new();
-        let cfg = self.cfg();
-        let n = self.num_entities();
-        let m = self.num_relations();
-        let m2 = 2 * m;
-        let d = cfg.dim;
-        let k = cfg.k.max(1);
+        let mut ctx = AuditCtx::inference();
+        let (n, m, d) = (self.num_entities(), self.num_relations(), self.cfg().dim);
         let env = Interval::new(-PARAM_BOUND, PARAM_BOUND);
-        let queries = 8; // abstract query count; intervals are row-uniform
+        let (_, _, target) = synthetic_window(n, m);
+        let (subjects, rels, _) = entity_queries(&target, m);
+        let (rs, ro, _) = relation_queries(&target);
 
         ctx.scoped("serve", None, |ctx| {
             // The entity-sharded decode splits candidate columns across
             // threads: a reorder of the scoring matmul's output lanes.
             ctx.reorder("matmul_nt", "output-lanes");
-
-            let states: Vec<_> = (0..k)
+            let why = "frozen window states: evolve_window detaches the last-k embeddings";
+            let states: Vec<EvolvedState<AbsId>> = (0..self.cfg().k.max(1))
                 .map(|_| {
-                    let e_raw = ctx.source(n, d, env);
-                    let e = ctx.detach(
-                        e_raw,
-                        "frozen window states: evolve_window detaches the last-k \
-                         entity embeddings",
-                    );
-                    let r_raw = ctx.source(m2, d, env);
-                    let r = ctx.detach(
-                        r_raw,
-                        "frozen window states: evolve_window detaches the last-k \
-                         relation embeddings",
-                    );
-                    (e, r)
+                    let e = ctx.source(n, d, env);
+                    let r = ctx.source(2 * m, d, env);
+                    EvolvedState { entities: ctx.detach(e, why), relations: ctx.detach(r, why) }
                 })
                 .collect();
-
-            ctx.scoped("decode.entity", Some("Eq. 11/13"), |ctx| {
-                let mut probs = Vec::with_capacity(states.len());
-                for &(e_t, r_t) in &states {
-                    let s_emb = ctx.gather_rows(e_t, queries);
-                    let r_emb = ctx.gather_rows(r_t, queries);
-                    let logits = self.model.dec_entity.audit_frozen(ctx, s_emb, r_emb, e_t);
-                    probs.push(ctx.softmax_rows(logits));
-                }
-                ctx.add_n(&probs)
-            });
-
-            ctx.scoped("decode.relation", Some("Eq. 12/14"), |ctx| {
-                let mut probs = Vec::with_capacity(states.len());
-                for &(e_t, r_t) in &states {
-                    let s_emb = ctx.gather_rows(e_t, queries);
-                    let o_emb = ctx.gather_rows(e_t, queries);
-                    let cand = ctx.gather_rows(r_t, m);
-                    let logits = self.model.dec_relation.audit_frozen(ctx, s_emb, o_emb, cand);
-                    probs.push(ctx.softmax_rows(logits));
-                }
-                ctx.add_n(&probs)
-            });
+            self.model.entity_prob_sum(ctx, &states, Rc::new(subjects), Rc::new(rels));
+            self.model.relation_prob_sum(ctx, &states, Rc::new(rs), Rc::new(ro));
         });
 
         ctx.check_no_trainable_params();

@@ -8,21 +8,24 @@ use retia_graph::{HyperSnapshot, Snapshot, NUM_HYPERRELS_WITH_INV};
 use retia_nn::{
     mean_pool_segments, ConvTransE, EntityRgcn, GruCell, LstmCell, RelationRgcn, WeightMode,
 };
-use retia_tensor::{Graph, NodeId, ParamStore, Tensor};
+use retia_tensor::{Graph, NodeId, Ops, ParamStore, Tensor};
 
 use crate::config::{HyperrelMode, RelationMode, RetiaConfig};
 
-/// The `(E_t, R_t)` pair produced for one historical timestamp.
+/// The `(E_t, R_t)` pair produced for one historical timestamp, as handles
+/// of the interpreter that ran the step (graph nodes by default).
 #[derive(Clone, Copy, Debug)]
-pub struct EvolvedState {
+pub struct EvolvedState<N = NodeId> {
     /// Entity embeddings `E_t` (`[N, d]`).
-    pub entities: NodeId,
+    pub entities: N,
     /// Relation embeddings `R_t` (`[2M, d]`, inverses included).
-    pub relations: NodeId,
+    pub relations: N,
 }
 
 /// The RETIA model. Holds the parameter store and the module definitions;
-/// each forward pass unrolls the recurrence in a fresh autodiff [`Graph`].
+/// each forward pass unrolls the recurrence in a fresh autodiff [`Graph`]
+/// — or, for the shape dry run and the value audit, in an abstract
+/// interpreter running the same generic code (see [`Ops`]).
 pub struct Retia {
     /// Configuration the model was built with.
     pub cfg: RetiaConfig,
@@ -129,29 +132,27 @@ impl Retia {
     /// Unrolls the RAM/EAM/TIM recurrence over `history`, returning one
     /// [`EvolvedState`] per historical snapshot (or a single initial state if
     /// the history is empty, so decoding is always possible).
-    pub fn evolve(
+    pub fn evolve<O: Ops>(
         &self,
-        g: &mut Graph,
+        g: &mut O,
         history: &[Snapshot],
         hypers: &[HyperSnapshot],
-    ) -> Vec<EvolvedState> {
+    ) -> Vec<EvolvedState<O::Node>> {
         assert_eq!(history.len(), hypers.len(), "history/hypergraph length mismatch");
         let d = self.cfg.dim;
         let m2 = 2 * self.num_relations;
+        let store = &self.store;
 
         // The paper's module ablations freeze the ablated embeddings at their
         // random initialization (no gradient), so insert constants then.
-        let ent0_raw = if self.cfg.use_eam {
-            g.param(&self.store, "ent0")
-        } else {
-            g.constant(self.store.value("ent0").clone())
-        };
+        let ent0_raw =
+            if self.cfg.use_eam { g.param(store, "ent0") } else { g.param_value(store, "ent0") };
         let e0 = if self.cfg.normalize_entities { g.normalize_rows(ent0_raw) } else { ent0_raw };
         let r0 = match self.cfg.relation_mode {
-            RelationMode::None => g.constant(self.store.value("rel0").clone()),
-            _ => g.param(&self.store, "rel0"),
+            RelationMode::None => g.param_value(store, "rel0"),
+            _ => g.param(store, "rel0"),
         };
-        let hr0 = g.param(&self.store, "hyper0");
+        let hr0 = g.param(store, "hyper0");
 
         if history.is_empty() {
             return vec![EvolvedState { entities: e0, relations: r0 }];
@@ -160,29 +161,31 @@ impl Retia {
         let mut e_prev = e0;
         let mut r_prev = r0;
         let mut hr_prev = hr0;
-        let mut c_prev: Option<NodeId> = None;
-        let mut hc_prev: Option<NodeId> = None;
+        let mut c_prev: Option<O::Node> = None;
+        let mut hc_prev: Option<O::Node> = None;
         let mut states = Vec::with_capacity(history.len());
 
         for (snap, hyper) in history.iter().zip(hypers.iter()) {
             // ---- relation update (TIM Eq. 7-8 + RAM Eq. 1-3) ----
             let r_t = match self.cfg.relation_mode {
                 RelationMode::None | RelationMode::Static => r0,
-                RelationMode::Mp => {
+                RelationMode::Mp => g.scoped("tim", Some("Eq. 7"), |g| {
                     let pooled = mean_pool_segments(g, e_prev, &snap.rel_entities);
                     Self::fallback_absent(g, pooled, r0, &snap.rel_entities)
-                }
+                }),
                 RelationMode::MpLstm | RelationMode::MpLstmAgg => {
                     let r_lstm = if self.cfg.use_tim {
-                        let _t = retia_obs::span!("tim.lstm");
-                        // Eq. 7: R_mean = [R_0 ; MP(E_{t-1}, E_r^t)].
-                        let pooled = mean_pool_segments(g, e_prev, &snap.rel_entities);
-                        let r_mean = g.concat_cols(r0, pooled);
-                        // Eq. 8: LSTM along the snapshot sequence.
-                        let c0 = c_prev.unwrap_or_else(|| g.constant(Tensor::zeros(m2, d)));
-                        let (h, c) = self.tim_lstm.forward(g, &self.store, r_mean, r_prev, c0);
-                        c_prev = Some(c);
-                        h
+                        let _t = g.span("tim.lstm", &[]);
+                        g.scoped("tim.lstm", Some("Eq. 7-8"), |g| {
+                            // Eq. 7: R_mean = [R_0 ; MP(E_{t-1}, E_r^t)].
+                            let pooled = mean_pool_segments(g, e_prev, &snap.rel_entities);
+                            let r_mean = g.concat_cols(r0, pooled);
+                            // Eq. 8: LSTM along the snapshot sequence.
+                            let c0 = c_prev.unwrap_or_else(|| g.zeros(m2, d));
+                            let (h, c) = self.tim_lstm.forward(g, store, r_mean, r_prev, c0);
+                            c_prev = Some(c);
+                            h
+                        })
                     } else {
                         // TIM severed: no entity→relation channel; relations
                         // evolve from their previous state alone.
@@ -190,31 +193,37 @@ impl Retia {
                     };
 
                     if self.cfg.relation_mode == RelationMode::MpLstmAgg {
-                        let _t = retia_obs::span!("ram.aggregate");
+                        let _t = g.span("ram.aggregate", &[]);
                         // Hyperrelation embeddings entering the RAM (Eq. 9-10).
                         let hr_t = match self.cfg.hyperrel_mode {
                             HyperrelMode::Init => hr0,
-                            HyperrelMode::Hmp => {
+                            HyperrelMode::Hmp => g.scoped("tim.hyper", Some("Eq. 9"), |g| {
                                 let pooled = mean_pool_segments(g, r_lstm, &hyper.hrel_relations);
                                 Self::fallback_absent(g, pooled, hr0, &hyper.hrel_relations)
-                            }
+                            }),
                             HyperrelMode::HmpHlstm => {
-                                let pooled = mean_pool_segments(g, r_lstm, &hyper.hrel_relations);
-                                let hr_mean = g.concat_cols(hr0, pooled);
-                                let hc0 = hc_prev.unwrap_or_else(|| {
-                                    g.constant(Tensor::zeros(NUM_HYPERRELS_WITH_INV, d))
-                                });
-                                let (h, c) =
-                                    self.hyper_lstm.forward(g, &self.store, hr_mean, hr_prev, hc0);
-                                hc_prev = Some(c);
-                                hr_prev = h;
-                                h
+                                g.scoped("tim.hyper_lstm", Some("Eq. 9-10"), |g| {
+                                    let pooled =
+                                        mean_pool_segments(g, r_lstm, &hyper.hrel_relations);
+                                    let hr_mean = g.concat_cols(hr0, pooled);
+                                    let hc0 = hc_prev
+                                        .unwrap_or_else(|| g.zeros(NUM_HYPERRELS_WITH_INV, d));
+                                    let (h, c) =
+                                        self.hyper_lstm.forward(g, store, hr_mean, hr_prev, hc0);
+                                    hc_prev = Some(c);
+                                    hr_prev = h;
+                                    h
+                                })
                             }
                         };
                         // Eq. 2: aggregate adjacent relations + hyperrelations.
-                        let r_agg = self.ram_rgcn.forward(g, &self.store, r_lstm, hr_t, hyper);
+                        let r_agg = g.scoped("ram", Some("Eq. 1-2"), |g| {
+                            self.ram_rgcn.forward(g, store, r_lstm, hr_t, hyper)
+                        });
                         // Eq. 3: residual GRU against the pre-aggregation state.
-                        self.rel_gru.forward(g, &self.store, r_agg, r_lstm)
+                        g.scoped("ram.gru", Some("Eq. 3"), |g| {
+                            self.rel_gru.forward(g, store, r_agg, r_lstm)
+                        })
                     } else {
                         r_lstm
                     }
@@ -223,16 +232,18 @@ impl Retia {
 
             // ---- entity update (EAM Eq. 4-6) ----
             let e_t = if self.cfg.use_eam {
-                let _t = retia_obs::span!("eam.rgcn");
-                let rel_for_eam =
-                    if self.cfg.use_tim { r_t } else { g.param(&self.store, "eam_rel0") };
-                let e_agg = self.eam_rgcn.forward(g, &self.store, e_prev, rel_for_eam, snap);
-                let e = self.ent_gru.forward(g, &self.store, e_agg, e_prev);
-                if self.cfg.normalize_entities {
-                    g.normalize_rows(e)
-                } else {
-                    e
-                }
+                let _t = g.span("eam.rgcn", &[]);
+                g.scoped("eam", Some("Eq. 4-6"), |g| {
+                    let rel_for_eam =
+                        if self.cfg.use_tim { r_t } else { g.param(store, "eam_rel0") };
+                    let e_agg = self.eam_rgcn.forward(g, store, e_prev, rel_for_eam, snap);
+                    let e = self.ent_gru.forward(g, store, e_agg, e_prev);
+                    if self.cfg.normalize_entities {
+                        g.normalize_rows(e)
+                    } else {
+                        e
+                    }
+                })
             } else {
                 e_prev
             };
@@ -247,12 +258,12 @@ impl Retia {
     /// Rows of `pooled` whose segment was empty are replaced by the
     /// corresponding `fallback` row (absent relations keep their initial
     /// embedding instead of collapsing to zero).
-    fn fallback_absent(
-        g: &mut Graph,
-        pooled: NodeId,
-        fallback: NodeId,
+    fn fallback_absent<O: Ops>(
+        g: &mut O,
+        pooled: O::Node,
+        fallback: O::Node,
         segments: &[Vec<u32>],
-    ) -> NodeId {
+    ) -> O::Node {
         let absent: Rc<Vec<f32>> =
             Rc::new(segments.iter().map(|s| if s.is_empty() { 1.0 } else { 0.0 }).collect());
         let fb = g.row_scale(fallback, absent);
@@ -264,23 +275,25 @@ impl Retia {
     ///
     /// `subjects[i]` and `rels[i]` define query `i`; `rels` may contain
     /// inverse ids (`r + M`) for subject forecasting.
-    pub fn entity_prob_sum(
+    pub fn entity_prob_sum<O: Ops>(
         &self,
-        g: &mut Graph,
-        states: &[EvolvedState],
+        g: &mut O,
+        states: &[EvolvedState<O::Node>],
         subjects: Rc<Vec<u32>>,
         rels: Rc<Vec<u32>>,
-    ) -> NodeId {
+    ) -> O::Node {
         assert!(!states.is_empty(), "need at least one evolved state");
-        let _t = retia_obs::span!("decode.entity", timestamps = states.len());
-        let mut probs = Vec::with_capacity(states.len());
-        for st in states {
-            let s_emb = g.gather_rows(st.entities, subjects.clone());
-            let r_emb = g.gather_rows(st.relations, rels.clone());
-            let logits = self.dec_entity.forward(g, &self.store, s_emb, r_emb, st.entities);
-            probs.push(g.softmax_rows(logits));
-        }
-        g.add_n(&probs)
+        let _t = g.span("decode.entity", &[("timestamps", states.len() as f64)]);
+        g.scoped("decode.entity", Some("Eq. 11/13"), |g| {
+            let mut probs = Vec::with_capacity(states.len());
+            for st in states {
+                let s_emb = g.gather_rows(st.entities, subjects.clone());
+                let r_emb = g.gather_rows(st.relations, rels.clone());
+                let logits = self.dec_entity.forward(g, &self.store, s_emb, r_emb, st.entities);
+                probs.push(g.softmax_rows(logits));
+            }
+            g.add_n(&probs)
+        })
     }
 
     /// Per-timestamp query representations for entity queries: the
@@ -315,25 +328,27 @@ impl Retia {
 
     /// Summed per-timestamp probabilities for relation queries
     /// (Eq. 12 + Eq. 14): `[Q, M]` over the original (non-inverse) relations.
-    pub fn relation_prob_sum(
+    pub fn relation_prob_sum<O: Ops>(
         &self,
-        g: &mut Graph,
-        states: &[EvolvedState],
+        g: &mut O,
+        states: &[EvolvedState<O::Node>],
         subjects: Rc<Vec<u32>>,
         objects: Rc<Vec<u32>>,
-    ) -> NodeId {
+    ) -> O::Node {
         assert!(!states.is_empty(), "need at least one evolved state");
-        let _t = retia_obs::span!("decode.relation", timestamps = states.len());
-        let orig: Rc<Vec<u32>> = Rc::new((0..self.num_relations as u32).collect());
-        let mut probs = Vec::with_capacity(states.len());
-        for st in states {
-            let s_emb = g.gather_rows(st.entities, subjects.clone());
-            let o_emb = g.gather_rows(st.entities, objects.clone());
-            let cand = g.gather_rows(st.relations, orig.clone());
-            let logits = self.dec_relation.forward(g, &self.store, s_emb, o_emb, cand);
-            probs.push(g.softmax_rows(logits));
-        }
-        g.add_n(&probs)
+        let _t = g.span("decode.relation", &[("timestamps", states.len() as f64)]);
+        g.scoped("decode.relation", Some("Eq. 12/14"), |g| {
+            let orig: Rc<Vec<u32>> = Rc::new((0..self.num_relations as u32).collect());
+            let mut probs = Vec::with_capacity(states.len());
+            for st in states {
+                let s_emb = g.gather_rows(st.entities, subjects.clone());
+                let o_emb = g.gather_rows(st.entities, objects.clone());
+                let cand = g.gather_rows(st.relations, orig.clone());
+                let logits = self.dec_relation.forward(g, &self.store, s_emb, o_emb, cand);
+                probs.push(g.softmax_rows(logits));
+            }
+            g.add_n(&probs)
+        })
     }
 
     /// Joint training loss for forecasting `target`'s facts from `states`
@@ -345,41 +360,67 @@ impl Retia {
         states: &[EvolvedState],
         target: &Snapshot,
     ) -> (NodeId, f32, f32) {
+        let (loss, le, lr) = self.joint_loss(g, states, target);
+        (loss, g.value(le).item(), g.value(lr).item())
+    }
+
+    /// [`Retia::loss`] on any interpreter: the `(joint, entity, relation)`
+    /// loss nodes.
+    pub(crate) fn joint_loss<O: Ops>(
+        &self,
+        g: &mut O,
+        states: &[EvolvedState<O::Node>],
+        target: &Snapshot,
+    ) -> (O::Node, O::Node, O::Node) {
         let (subjects, rels, e_targets) = entity_queries(target, self.num_relations);
         let (rs, ro, r_targets) = relation_queries(target);
 
         let pe = self.entity_prob_sum(g, states, Rc::new(subjects), Rc::new(rels));
-        let picked_e = g.gather_cols(pe, Rc::new(e_targets));
-        let ln_e = g.ln(picked_e, 1e-9);
-        let mean_e = g.mean_all(ln_e);
-        let le = g.scale(mean_e, -1.0);
-
+        let le = g.scoped("loss", Some("Eq. 13"), |g| Self::nll(g, pe, e_targets));
         let pr = self.relation_prob_sum(g, states, Rc::new(rs), Rc::new(ro));
-        let picked_r = g.gather_cols(pr, Rc::new(r_targets));
-        let ln_r = g.ln(picked_r, 1e-9);
-        let mean_r = g.mean_all(ln_r);
-        let lr = g.scale(mean_r, -1.0);
+        let lr = g.scoped("loss", Some("Eq. 14"), |g| Self::nll(g, pr, r_targets));
 
-        let le_val = g.value(le).item();
-        let lr_val = g.value(lr).item();
+        let loss = g.scoped("loss", Some("Eq. 13-14"), |g| {
+            let we = g.scale(le, self.cfg.lambda);
+            let wr = g.scale(lr, 1.0 - self.cfg.lambda);
+            let mut loss = g.add(we, wr);
+            if self.cfg.static_weight > 0.0 && self.cfg.use_eam {
+                let stat = self.static_constraint(g, states);
+                let ws = g.scale(stat, self.cfg.static_weight);
+                loss = g.add(loss, ws);
+            }
+            loss
+        });
+        (loss, le, lr)
+    }
 
-        let we = g.scale(le, self.cfg.lambda);
-        let wr = g.scale(lr, 1.0 - self.cfg.lambda);
-        let mut loss = g.add(we, wr);
+    /// One training step's loss over `history`: the recurrence, both
+    /// decoders over every evolved state, and the joint loss. The shape dry
+    /// run and the value audit run exactly this on their interpreters.
+    pub(crate) fn step_loss<O: Ops>(
+        &self,
+        g: &mut O,
+        history: &[Snapshot],
+        hypers: &[HyperSnapshot],
+        target: &Snapshot,
+    ) -> O::Node {
+        let states = self.evolve(g, history, hypers);
+        self.joint_loss(g, &states, target).0
+    }
 
-        if self.cfg.static_weight > 0.0 && self.cfg.use_eam {
-            let stat = self.static_constraint(g, states);
-            let ws = g.scale(stat, self.cfg.static_weight);
-            loss = g.add(loss, ws);
-        }
-        (loss, le_val, lr_val)
+    /// Mean negative log of the target column of `probs`.
+    fn nll<O: Ops>(g: &mut O, probs: O::Node, targets: Vec<u32>) -> O::Node {
+        let picked = g.gather_cols(probs, Rc::new(targets));
+        let ln = g.ln(picked, 1e-9);
+        let mean = g.mean_all(ln);
+        g.scale(mean, -1.0)
     }
 
     /// Static-consistency constraint (the RE-GCN-style auxiliary loss the
     /// paper enables on the ICEWS datasets): the angle between each evolved
     /// entity embedding and its initial embedding may grow by at most
     /// `static_angle_deg` per step; violations are penalized linearly.
-    fn static_constraint(&self, g: &mut Graph, states: &[EvolvedState]) -> NodeId {
+    fn static_constraint<O: Ops>(&self, g: &mut O, states: &[EvolvedState<O::Node>]) -> O::Node {
         let ent0 = g.param(&self.store, "ent0");
         let e0n = g.normalize_rows(ent0);
         let mut terms = Vec::with_capacity(states.len());

@@ -11,10 +11,7 @@
 //! layer norm here (our substrate has no running-statistics batch norm);
 //! the substitution is recorded in DESIGN.md.
 
-use retia_analyze::value::{AbsId, PARAM_BOUND};
-use retia_analyze::{AuditCtx, ShapeCtx, ShapeTensor};
-use retia_tensor::transfer::Interval;
-use retia_tensor::{Graph, NodeId, ParamStore};
+use retia_tensor::{Ops, ParamStore};
 
 /// Convolutional decoder producing `[queries, candidates]` score matrices.
 #[derive(Clone, Debug)]
@@ -58,10 +55,48 @@ impl ConvTransE {
 
     /// Embeds a query pair into a `[queries, dim]` representation (the part
     /// of the decoder before candidate scoring).
-    pub fn query_repr(&self, g: &mut Graph, store: &ParamStore, a: NodeId, b: NodeId) -> NodeId {
+    pub fn query_repr<O: Ops>(
+        &self,
+        g: &mut O,
+        store: &ParamStore,
+        a: O::Node,
+        b: O::Node,
+    ) -> O::Node {
         let _m = retia_obs::module_scope("ConvTransE");
-        assert_eq!(g.value(a).cols(), self.dim, "decoder input width mismatch");
-        assert_eq!(g.value(a).shape(), g.value(b).shape(), "query part shape mismatch");
+        g.scoped("ConvTransE", Some("Eq. 11/12"), |g| self.repr(g, store, a, b))
+    }
+
+    /// Scores every candidate for every query:
+    /// `(a, b) x candidates -> [queries, num_candidates]` logits.
+    ///
+    /// The `queries x candidates` scoring product dominates evaluation cost;
+    /// it (and the conv/projection above) runs on the chunk-parallel kernels
+    /// in `retia_tensor::parallel`, whose output is bit-identical at any
+    /// `RETIA_NUM_THREADS`.
+    pub fn forward<O: Ops>(
+        &self,
+        g: &mut O,
+        store: &ParamStore,
+        a: O::Node,
+        b: O::Node,
+        candidates: O::Node,
+    ) -> O::Node {
+        let _m = retia_obs::module_scope("ConvTransE");
+        g.scoped("ConvTransE", Some("Eq. 11/12"), |g| {
+            let q = self.repr(g, store, a, b);
+            g.matmul_nt(q, candidates)
+        })
+    }
+
+    fn repr<O: Ops>(&self, g: &mut O, store: &ParamStore, a: O::Node, b: O::Node) -> O::Node {
+        let (sa, sb) = (g.shape(a), g.shape(b));
+        g.check("query_width", sa.1 == self.dim, || {
+            format!(
+                "decoder input width mismatch: query part has {} columns, expected {}",
+                sa.1, self.dim
+            )
+        });
+        g.check("query_parts", sa == sb, || format!("query part shape mismatch: {sa:?} vs {sb:?}"));
         // Channels-major stacking: [a | b] is channel 0 then channel 1.
         let stacked = g.concat_cols(a, b);
         let x = g.dropout(stacked, self.dropout);
@@ -79,139 +114,12 @@ impl ConvTransE {
         let act2 = g.relu(normed2);
         g.dropout(act2, self.dropout)
     }
-
-    /// Scores every candidate for every query:
-    /// `(a, b) x candidates -> [queries, num_candidates]` logits.
-    ///
-    /// The `queries x candidates` scoring product dominates evaluation cost;
-    /// it (and the conv/projection above) runs on the chunk-parallel kernels
-    /// in `retia_tensor::parallel`, whose output is bit-identical at any
-    /// `RETIA_NUM_THREADS`.
-    pub fn forward(
-        &self,
-        g: &mut Graph,
-        store: &ParamStore,
-        a: NodeId,
-        b: NodeId,
-        candidates: NodeId,
-    ) -> NodeId {
-        let q = self.query_repr(g, store, a, b);
-        g.matmul_nt(q, candidates)
-    }
-
-    /// Shape-only replay of [`ConvTransE::forward`]: stacks the two query
-    /// parts, runs the conv/projection op sequence, and scores against
-    /// `candidates`, recording any mismatch in `ctx`.
-    pub fn validate(
-        &self,
-        ctx: &mut ShapeCtx,
-        a: ShapeTensor,
-        b: ShapeTensor,
-        candidates: ShapeTensor,
-    ) -> ShapeTensor {
-        Self::validate_dims(ctx, self.dim, self.channels, self.ksize, a, b, candidates)
-    }
-
-    /// Static form of [`ConvTransE::validate`]: checks the op sequence for
-    /// the given dimensions without constructing the layer.
-    pub fn validate_dims(
-        ctx: &mut ShapeCtx,
-        dim: usize,
-        channels: usize,
-        ksize: usize,
-        a: ShapeTensor,
-        b: ShapeTensor,
-        candidates: ShapeTensor,
-    ) -> ShapeTensor {
-        ctx.scoped("ConvTransE", Some("Eq. 11/12"), |ctx| {
-            ctx.check("query_width", a.cols == dim, || {
-                format!("query part is {a}, decoder embedding width is {dim}")
-            });
-            ctx.check("query_parts", a.shape() == b.shape(), || {
-                format!("query parts disagree: {a} vs {b}")
-            });
-            let stacked = ctx.concat_cols(a, b);
-            let x = ctx.unary("dropout", stacked);
-            let conv = ctx.conv1d(
-                x,
-                ShapeTensor::new(channels, 2 * ksize),
-                ShapeTensor::new(1, channels),
-                2,
-                channels,
-                ksize,
-            );
-            let normed = ctx.unary("layer_norm_rows", conv);
-            let act = ctx.unary("relu", normed);
-            let act = ctx.unary("dropout", act);
-            let proj = ctx.matmul(act, ShapeTensor::new(channels * dim, dim));
-            let proj = ctx.add_bias(proj, ShapeTensor::new(1, dim));
-            let normed2 = ctx.unary("layer_norm_rows", proj);
-            let act2 = ctx.unary("relu", normed2);
-            let q = ctx.unary("dropout", act2);
-            ctx.matmul_nt(q, candidates)
-        })
-    }
-
-    /// Value-domain replay of the query embedding (the part of
-    /// [`ConvTransE::forward`] before candidate scoring), declaring the
-    /// conv/projection weights by their store names.
-    pub fn audit_query_repr(&self, ctx: &mut AuditCtx, a: AbsId, b: AbsId) -> AbsId {
-        ctx.scoped("ConvTransE", Some("Eq. 11/12"), |ctx| {
-            let stacked = ctx.concat_cols(a, b);
-            let x = ctx.dropout(stacked, f64::from(self.dropout));
-            let cw = ctx.param(&self.conv_w, self.channels, 2 * self.ksize);
-            let cb = ctx.param(&self.conv_b, 1, self.channels);
-            let conv = ctx.conv1d(x, cw, cb, 2, self.channels, self.ksize);
-            let normed = ctx.layer_norm_rows(conv);
-            let act = ctx.relu(normed);
-            let act = ctx.dropout(act, f64::from(self.dropout));
-            let fw = ctx.param(&self.fc_w, self.channels * self.dim, self.dim);
-            let fb = ctx.param(&self.fc_b, 1, self.dim);
-            let proj = ctx.matmul(act, fw);
-            let proj = ctx.add_bias(proj, fb);
-            let normed2 = ctx.layer_norm_rows(proj);
-            let act2 = ctx.relu(normed2);
-            ctx.dropout(act2, f64::from(self.dropout))
-        })
-    }
-
-    /// Value-domain replay of [`ConvTransE::forward`].
-    pub fn audit(&self, ctx: &mut AuditCtx, a: AbsId, b: AbsId, candidates: AbsId) -> AbsId {
-        let q = self.audit_query_repr(ctx, a, b);
-        ctx.scoped("ConvTransE", Some("Eq. 11/12"), |ctx| ctx.matmul_nt(q, candidates))
-    }
-
-    /// Value-domain replay of [`ConvTransE::forward`] for the frozen
-    /// serving path: the weights enter as constant sources under the
-    /// parameter envelope instead of trainable declarations, so an
-    /// inference-graph audit can prove the tape holds zero parameters.
-    pub fn audit_frozen(&self, ctx: &mut AuditCtx, a: AbsId, b: AbsId, candidates: AbsId) -> AbsId {
-        ctx.scoped("ConvTransE", Some("Eq. 11/12"), |ctx| {
-            let env = Interval::new(-PARAM_BOUND, PARAM_BOUND);
-            let stacked = ctx.concat_cols(a, b);
-            let x = ctx.dropout(stacked, f64::from(self.dropout));
-            let cw = ctx.source(self.channels, 2 * self.ksize, env);
-            let cb = ctx.source(1, self.channels, env);
-            let conv = ctx.conv1d(x, cw, cb, 2, self.channels, self.ksize);
-            let normed = ctx.layer_norm_rows(conv);
-            let act = ctx.relu(normed);
-            let act = ctx.dropout(act, f64::from(self.dropout));
-            let fw = ctx.source(self.channels * self.dim, self.dim, env);
-            let fb = ctx.source(1, self.dim, env);
-            let proj = ctx.matmul(act, fw);
-            let proj = ctx.add_bias(proj, fb);
-            let normed2 = ctx.layer_norm_rows(proj);
-            let act2 = ctx.relu(normed2);
-            let q = ctx.dropout(act2, f64::from(self.dropout));
-            ctx.matmul_nt(q, candidates)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retia_tensor::{optim::Adam, Tensor};
+    use retia_tensor::{optim::Adam, Graph, Tensor};
     use std::rc::Rc;
 
     #[test]

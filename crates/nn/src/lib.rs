@@ -16,18 +16,16 @@
 //!
 //! Modules register their parameters under a prefix in a shared
 //! [`retia_tensor::ParamStore`] at construction and are pure at forward time:
-//! `forward(&self, &mut Graph, &ParamStore, ...)`.
+//! `forward(&self, &mut O, &ParamStore, ...)`.
 //!
-//! Every layer also exposes a `validate` twin — a shape-only replay of its
-//! forward op sequence over [`retia_analyze::ShapeTensor`]s that records
-//! mismatches in a [`retia_analyze::ShapeCtx`] instead of panicking. The
-//! model-level dry run in `retia`'s `validate` module composes these to
-//! check an entire configuration before any training step.
-//!
-//! Layers likewise expose an `audit` twin — a value-domain replay over
-//! interval abstractions in a [`retia_analyze::AuditCtx`] that declares the
-//! layer's trainable parameters by store name, so the model-level audit can
-//! prove finiteness and gradient-flow reachability (`retia audit`).
+//! Every forward is written once, generic over the [`retia_tensor::Ops`]
+//! vocabulary, and run by three interpreters: the autodiff
+//! [`retia_tensor::Graph`] for training and serving, `retia_analyze`'s
+//! `ShapeCtx` for the shape dry run (`retia check`), and its `AuditCtx` for
+//! the interval and gradient-flow audit (`retia audit`). A layer states its
+//! preconditions with `Ops::check` (a panic on the graph, a recorded issue
+//! in the dry run) and names its scope with `Ops::scoped`, so a mismatch is
+//! reported with the layer and paper equation it happened in.
 
 mod decoder;
 mod linear;
@@ -37,6 +35,6 @@ mod rnn;
 
 pub use decoder::ConvTransE;
 pub use linear::Linear;
-pub use pooling::{audit_mean_pool_segments, mean_pool_segments, validate_mean_pool_segments};
+pub use pooling::mean_pool_segments;
 pub use rgcn::{EntityRgcn, RelationRgcn, WeightMode};
 pub use rnn::{GruCell, LstmCell};

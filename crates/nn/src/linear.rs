@@ -1,7 +1,6 @@
 //! Affine projection.
 
-use retia_analyze::{ShapeCtx, ShapeTensor};
-use retia_tensor::{Graph, NodeId, ParamStore};
+use retia_tensor::{Ops, ParamStore};
 
 /// `y = x @ W + b` with Xavier-initialized `W` and zero `b`.
 #[derive(Clone, Debug)]
@@ -24,32 +23,17 @@ impl Linear {
     }
 
     /// Applies the projection to `x` (`[n, in_dim] -> [n, out_dim]`).
-    pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
+    pub fn forward<O: Ops>(&self, g: &mut O, store: &ParamStore, x: O::Node) -> O::Node {
         let _m = retia_obs::module_scope("Linear");
-        assert_eq!(g.value(x).cols(), self.in_dim, "Linear input width mismatch");
-        let w = g.param(store, &self.w);
-        let b = g.param(store, &self.b);
-        let y = g.matmul(x, w);
-        g.add_bias(y, b)
-    }
-
-    /// Shape-only replay of [`Linear::forward`]: same op sequence over
-    /// [`ShapeTensor`]s, issues recorded in `ctx` instead of panics.
-    pub fn validate(&self, ctx: &mut ShapeCtx, x: ShapeTensor) -> ShapeTensor {
-        Self::validate_dims(ctx, self.in_dim, self.out_dim, x)
-    }
-
-    /// Static form of [`Linear::validate`]: checks the op sequence for the
-    /// given dimensions without constructing the layer (no parameters).
-    pub fn validate_dims(
-        ctx: &mut ShapeCtx,
-        in_dim: usize,
-        out_dim: usize,
-        x: ShapeTensor,
-    ) -> ShapeTensor {
-        ctx.scoped("Linear", None, |ctx| {
-            let y = ctx.matmul(x, ShapeTensor::new(in_dim, out_dim));
-            ctx.add_bias(y, ShapeTensor::new(1, out_dim))
+        g.scoped("Linear", None, |g| {
+            let cols = g.shape(x).1;
+            g.check("linear_input", cols == self.in_dim, || {
+                format!("Linear input width mismatch: {cols} columns, expected {}", self.in_dim)
+            });
+            let w = g.param(store, &self.w);
+            let b = g.param(store, &self.b);
+            let y = g.matmul(x, w);
+            g.add_bias(y, b)
         })
     }
 
@@ -62,7 +46,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use retia_tensor::{optim::Adam, Tensor};
+    use retia_tensor::{optim::Adam, Graph, Tensor};
 
     #[test]
     fn forward_shape() {

@@ -2,81 +2,34 @@
 
 use std::rc::Rc;
 
-use retia_analyze::value::AbsId;
-use retia_analyze::{AuditCtx, ShapeCtx, ShapeTensor};
-use retia_tensor::transfer::Interval;
-use retia_tensor::{Graph, NodeId};
+use retia_tensor::Ops;
 
 /// Mean-pools rows of `x` (`[n, d]`) over `segments`: output row `i` is the
 /// mean of `x[j]` for `j in segments[i]`. Empty segments yield zero rows
 /// (absent relations / hyperrelations keep no pooled signal, matching the
 /// reference implementation).
-pub fn mean_pool_segments(g: &mut Graph, x: NodeId, segments: &[Vec<u32>]) -> NodeId {
+pub fn mean_pool_segments<O: Ops>(g: &mut O, x: O::Node, segments: &[Vec<u32>]) -> O::Node {
     let _m = retia_obs::module_scope("mean_pool_segments");
-    let num_segments = segments.len();
-    let mut flat: Vec<u32> = Vec::new();
-    let mut seg_ids: Vec<u32> = Vec::new();
-    let mut inv_counts: Vec<f32> = Vec::with_capacity(num_segments);
-    for (i, seg) in segments.iter().enumerate() {
-        for &j in seg {
-            flat.push(j);
-            seg_ids.push(i as u32);
-        }
-        inv_counts.push(if seg.is_empty() { 0.0 } else { 1.0 / seg.len() as f32 });
-    }
-    if flat.is_empty() {
-        // All segments empty: a zero tensor with no gradient path.
-        let d = g.value(x).cols();
-        return g.constant(retia_tensor::Tensor::zeros(num_segments, d));
-    }
-    let gathered = g.gather_rows(x, Rc::new(flat));
-    let summed = g.scatter_add_rows(gathered, Rc::new(seg_ids), num_segments);
-    g.row_scale(summed, Rc::new(inv_counts))
-}
-
-/// Shape-only replay of [`mean_pool_segments`]: same gather/scatter/scale op
-/// sequence over [`ShapeTensor`]s, issues recorded in `ctx`.
-pub fn validate_mean_pool_segments(
-    ctx: &mut ShapeCtx,
-    x: ShapeTensor,
-    segments: &[Vec<u32>],
-) -> ShapeTensor {
-    ctx.scoped("mean_pool_segments", Some("Eq. 7/9"), |ctx| {
+    g.scoped("mean_pool_segments", Some("Eq. 7/9"), |g| {
         let num_segments = segments.len();
         let mut flat: Vec<u32> = Vec::new();
         let mut seg_ids: Vec<u32> = Vec::new();
+        let mut inv_counts: Vec<f32> = Vec::with_capacity(num_segments);
         for (i, seg) in segments.iter().enumerate() {
             for &j in seg {
                 flat.push(j);
                 seg_ids.push(i as u32);
             }
+            inv_counts.push(if seg.is_empty() { 0.0 } else { 1.0 / seg.len() as f32 });
         }
         if flat.is_empty() {
-            return ShapeTensor::new(num_segments, x.cols);
+            // All segments empty: a zero tensor with no gradient path.
+            let d = g.shape(x).1;
+            return g.zeros(num_segments, d);
         }
-        let gathered = ctx.gather_rows(x, &flat);
-        let summed = ctx.scatter_add_rows(gathered, &seg_ids, num_segments);
-        ctx.row_scale(summed, num_segments)
-    })
-}
-
-/// Value-domain replay of [`mean_pool_segments`]. The per-segment
-/// `1/count` weights live in `(0, 1]` (exactly 0 for empty segments), so
-/// the pooled rows stay inside the hull of the inputs and zero.
-pub fn audit_mean_pool_segments(ctx: &mut AuditCtx, x: AbsId, segments: &[Vec<u32>]) -> AbsId {
-    ctx.scoped("mean_pool_segments", Some("Eq. 7/9"), |ctx| {
-        let num_segments = segments.len();
-        let total: usize = segments.iter().map(Vec::len).sum();
-        if total == 0 {
-            // All segments empty: a zero constant with no gradient path —
-            // mirrored so the flow walk sees the same disconnection the
-            // real graph has.
-            let (_, d) = ctx.shape(x);
-            return ctx.source(num_segments, d, Interval::point(0.0));
-        }
-        let gathered = ctx.gather_rows(x, total);
-        let summed = ctx.scatter_add_rows(gathered, num_segments);
-        ctx.row_scale(summed, Interval::new(0.0, 1.0))
+        let gathered = g.gather_rows(x, Rc::new(flat));
+        let summed = g.scatter_add_rows(gathered, Rc::new(seg_ids), num_segments);
+        g.row_scale(summed, Rc::new(inv_counts))
     })
 }
 

@@ -16,11 +16,8 @@
 
 use std::rc::Rc;
 
-use retia_analyze::value::AbsId;
-use retia_analyze::{AuditCtx, ShapeCtx, ShapeTensor};
 use retia_graph::{HyperSnapshot, Snapshot, NUM_HYPERRELS_WITH_INV};
-use retia_tensor::transfer::Interval;
-use retia_tensor::{Graph, NodeId, ParamStore};
+use retia_tensor::{Ops, ParamStore};
 
 /// How per-edge-type transforms are parameterized.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,6 +26,17 @@ pub enum WeightMode {
     PerRelation,
     /// Basis decomposition with the given number of bases.
     Basis(usize),
+}
+
+/// The edge arrays one R-GCN pass aggregates over, sorted by edge type.
+#[derive(Clone, Copy)]
+struct Edges<'a> {
+    src: &'a [u32],
+    etype: &'a [u32],
+    dst: &'a [u32],
+    norm: &'a [f32],
+    type_ranges: &'a [(usize, usize)],
+    num_nodes: usize,
 }
 
 /// Shared implementation over (src, etype, dst, norm) edge arrays.
@@ -72,253 +80,110 @@ impl RgcnCore {
         RgcnCore { prefix: prefix.to_string(), dim, num_edge_types, mode, num_layers, dropout }
     }
 
-    /// One layer: `h_nodes` `[n, d]`, `edge_emb` `[num_edge_types, d]`
-    /// (relation or hyperrelation embeddings added into messages).
-    #[allow(clippy::too_many_arguments)]
-    fn layer(
+    /// Every layer over `edges`: `h` `[num_nodes, d]`, `edge_emb`
+    /// `[num_edge_types, d]` (relation or hyperrelation embeddings added
+    /// into messages).
+    fn forward<O: Ops>(
         &self,
-        g: &mut Graph,
+        g: &mut O,
         store: &ParamStore,
-        layer: usize,
-        h_nodes: NodeId,
-        edge_emb: NodeId,
-        src: &[u32],
-        etype: &[u32],
-        dst: &[u32],
-        norm: &[f32],
-        type_ranges: &[(usize, usize)],
-        num_nodes: usize,
-    ) -> NodeId {
-        let w0 = g.param(store, &format!("{}.l{layer}.wself", self.prefix));
-        let self_part = g.matmul(h_nodes, w0);
-
-        let mut out = self_part;
-        if !src.is_empty() {
-            // Message pre-transform: (h_src + edge_emb), degree-normalized.
-            // Normalizing before the linear transform is equivalent (the
-            // transform is linear) and lets both weight modes share it.
-            let src_idx = Rc::new(src.to_vec());
-            let type_idx = Rc::new(etype.to_vec());
-            let h_src = g.gather_rows(h_nodes, src_idx);
-            let e_edge = g.gather_rows(edge_emb, type_idx.clone());
-            let raw = g.add(h_src, e_edge);
-            let msg = g.row_scale(raw, Rc::new(norm.to_vec()));
-
-            let transformed = match self.mode {
-                WeightMode::Basis(nb) => {
-                    let coef = g.param(store, &format!("{}.l{layer}.coef", self.prefix));
-                    let coef_per_edge = g.gather_rows(coef, type_idx);
-                    let mut acc: Option<NodeId> = None;
-                    for b in 0..nb {
-                        let vb = g.param(store, &format!("{}.l{layer}.basis{b}", self.prefix));
-                        let xb = g.matmul(msg, vb);
-                        let cb = g.slice_cols(coef_per_edge, b, b + 1);
-                        let scaled = g.mul_col(xb, cb);
-                        acc = Some(match acc {
-                            Some(a) => g.add(a, scaled),
-                            None => scaled,
-                        });
-                    }
-                    let t = acc.expect("at least one basis");
-                    g.scatter_add_rows(t, Rc::new(dst.to_vec()), num_nodes)
-                }
-                WeightMode::PerRelation => {
-                    let mut acc: Option<NodeId> = None;
-                    for (r, &(a, b)) in type_ranges.iter().enumerate() {
-                        if b == a {
-                            continue;
-                        }
-                        let rows: Rc<Vec<u32>> = Rc::new((a as u32..b as u32).collect());
-                        let mr = g.gather_rows(msg, rows);
-                        let wr = g.param(store, &format!("{}.l{layer}.w{r}", self.prefix));
-                        let t = g.matmul(mr, wr);
-                        let part = g.scatter_add_rows(t, Rc::new(dst[a..b].to_vec()), num_nodes);
-                        acc = Some(match acc {
-                            Some(x) => g.add(x, part),
-                            None => part,
-                        });
-                    }
-                    match acc {
-                        Some(x) => x,
-                        None => g.constant(retia_tensor::Tensor::zeros(num_nodes, self.dim)),
-                    }
-                }
-            };
-            out = g.add(out, transformed);
-        }
-        let activated = g.rrelu(out);
-        g.dropout(activated, self.dropout)
+        h: O::Node,
+        edge_emb: O::Node,
+        edges: &Edges,
+    ) -> O::Node {
+        (0..self.num_layers).fold(h, |h, l| self.layer(g, store, l, h, edge_emb, edges))
     }
 
-    /// Shape-only replay of [`RgcnCore::layer`]: same op sequence over
-    /// [`ShapeTensor`]s and the real edge arrays, issues recorded in `ctx`.
-    #[allow(clippy::too_many_arguments)]
-    fn validate_layer(
+    /// One layer. In `PerRelation` mode the weight of an edge type with no
+    /// edges in this snapshot never enters the graph; the model-level audit
+    /// declares such weights frozen for its window.
+    fn layer<O: Ops>(
         &self,
-        ctx: &mut ShapeCtx,
+        g: &mut O,
+        store: &ParamStore,
         layer: usize,
-        h_nodes: ShapeTensor,
-        edge_emb: ShapeTensor,
-        src: &[u32],
-        etype: &[u32],
-        dst: &[u32],
-        norm: &[f32],
-        type_ranges: &[(usize, usize)],
-        num_nodes: usize,
-    ) -> ShapeTensor {
-        let scope = format!("layer {layer}");
-        ctx.scoped(&scope, None, |ctx| {
-            let w0 = ShapeTensor::new(self.dim, self.dim);
-            let self_part = ctx.matmul(h_nodes, w0);
+        h_nodes: O::Node,
+        edge_emb: O::Node,
+        edges: &Edges,
+    ) -> O::Node {
+        let Edges { src, etype, dst, norm, type_ranges, num_nodes } = *edges;
+        g.scoped(&format!("layer {layer}"), None, |g| {
+            let w0 = g.param(store, &format!("{}.l{layer}.wself", self.prefix));
+            let self_part = g.matmul(h_nodes, w0);
+
             let mut out = self_part;
             if !src.is_empty() {
-                ctx.check("edge_types", type_ranges.len() == self.num_edge_types, || {
+                g.check("edge_types", type_ranges.len() == self.num_edge_types, || {
                     format!(
                         "{} type ranges for {} registered edge-type weights",
                         type_ranges.len(),
                         self.num_edge_types
                     )
                 });
-                let h_src = ctx.gather_rows(h_nodes, src);
-                let e_edge = ctx.gather_rows(edge_emb, etype);
-                let raw = ctx.add(h_src, e_edge);
-                let msg = ctx.row_scale(raw, norm.len());
+                // Message pre-transform: (h_src + edge_emb), degree-normalized.
+                // Normalizing before the linear transform is equivalent (the
+                // transform is linear) and lets both weight modes share it.
+                let src_idx = Rc::new(src.to_vec());
+                let type_idx = Rc::new(etype.to_vec());
+                let h_src = g.gather_rows(h_nodes, src_idx);
+                let e_edge = g.gather_rows(edge_emb, type_idx.clone());
+                let raw = g.add(h_src, e_edge);
+                let msg = g.row_scale(raw, Rc::new(norm.to_vec()));
+
                 let transformed = match self.mode {
                     WeightMode::Basis(nb) => {
-                        let coef = ShapeTensor::new(self.num_edge_types, nb);
-                        let coef_per_edge = ctx.gather_rows(coef, etype);
-                        let mut acc: Option<ShapeTensor> = None;
+                        let coef = g.param(store, &format!("{}.l{layer}.coef", self.prefix));
+                        let coef_per_edge = g.gather_rows(coef, type_idx);
+                        let mut acc: Option<O::Node> = None;
                         for b in 0..nb {
-                            let vb = ShapeTensor::new(self.dim, self.dim);
-                            let xb = ctx.matmul(msg, vb);
-                            let cb = ctx.slice_cols(coef_per_edge, b, b + 1);
-                            let scaled = ctx.mul_col(xb, cb);
+                            let vb = g.param(store, &format!("{}.l{layer}.basis{b}", self.prefix));
+                            let xb = g.matmul(msg, vb);
+                            let cb = g.slice_cols(coef_per_edge, b, b + 1);
+                            let scaled = g.mul_col(xb, cb);
                             acc = Some(match acc {
-                                Some(a) => ctx.add(a, scaled),
+                                Some(a) => g.add(a, scaled),
                                 None => scaled,
                             });
                         }
-                        ctx.check("basis_count", acc.is_some(), || {
+                        g.check("basis_count", acc.is_some(), || {
                             "basis decomposition with zero bases".to_string()
                         });
                         let t = acc.unwrap_or(msg);
-                        ctx.scatter_add_rows(t, dst, num_nodes)
+                        g.scatter_add_rows(t, Rc::new(dst.to_vec()), num_nodes)
                     }
                     WeightMode::PerRelation => {
-                        let mut acc: Option<ShapeTensor> = None;
+                        let mut acc: Option<O::Node> = None;
                         for (r, &(a, b)) in type_ranges.iter().enumerate() {
                             if b == a {
                                 continue;
                             }
-                            ctx.check("edge_type_id", r < self.num_edge_types, || {
+                            g.check("edge_type_id", r < self.num_edge_types, || {
                                 format!(
                                     "edge type {r} has no registered weight (only {} types)",
                                     self.num_edge_types
                                 )
                             });
-                            let rows: Vec<u32> = (a as u32..b as u32).collect();
-                            let mr = ctx.gather_rows(msg, &rows);
-                            let wr = ShapeTensor::new(self.dim, self.dim);
-                            let t = ctx.matmul(mr, wr);
-                            let part = ctx.scatter_add_rows(t, &dst[a..b], num_nodes);
+                            let rows: Rc<Vec<u32>> = Rc::new((a as u32..b as u32).collect());
+                            let mr = g.gather_rows(msg, rows);
+                            let wr = g.param(store, &format!("{}.l{layer}.w{r}", self.prefix));
+                            let t = g.matmul(mr, wr);
+                            let part =
+                                g.scatter_add_rows(t, Rc::new(dst[a..b].to_vec()), num_nodes);
                             acc = Some(match acc {
-                                Some(x) => ctx.add(x, part),
-                                None => part,
-                            });
-                        }
-                        acc.unwrap_or(ShapeTensor::new(num_nodes, self.dim))
-                    }
-                };
-                out = ctx.add(out, transformed);
-            }
-            let activated = ctx.unary("rrelu", out);
-            ctx.unary("dropout", activated)
-        })
-    }
-
-    /// Value-domain replay of [`RgcnCore::layer`], declaring every layer
-    /// parameter the real graph would touch for these edge arrays. In
-    /// `PerRelation` mode, `w{r}` for an edge type with an empty range in
-    /// this window is *not* declared — mirroring the real graph, which never
-    /// creates that param node; the model-level audit declares such params
-    /// frozen with a "type absent from the audit window" reason.
-    #[allow(clippy::too_many_arguments)]
-    fn audit_layer(
-        &self,
-        ctx: &mut AuditCtx,
-        layer: usize,
-        h_nodes: AbsId,
-        edge_emb: AbsId,
-        num_edges: usize,
-        type_ranges: &[(usize, usize)],
-        num_nodes: usize,
-    ) -> AbsId {
-        let scope = format!("layer {layer}");
-        ctx.scoped(&scope, None, |ctx| {
-            let w0 = ctx.param(&format!("{}.l{layer}.wself", self.prefix), self.dim, self.dim);
-            let self_part = ctx.matmul(h_nodes, w0);
-            let mut out = self_part;
-            if num_edges > 0 {
-                let h_src = ctx.gather_rows(h_nodes, num_edges);
-                let e_edge = ctx.gather_rows(edge_emb, num_edges);
-                let raw = ctx.add(h_src, e_edge);
-                // Degree norms are 1/c_{o,r} in (0, 1].
-                let msg = ctx.row_scale(raw, Interval::new(0.0, 1.0));
-                let transformed = match self.mode {
-                    WeightMode::Basis(nb) => {
-                        let coef = ctx.param(
-                            &format!("{}.l{layer}.coef", self.prefix),
-                            self.num_edge_types,
-                            nb,
-                        );
-                        let coef_per_edge = ctx.gather_rows(coef, num_edges);
-                        let mut acc: Option<AbsId> = None;
-                        for b in 0..nb {
-                            let vb = ctx.param(
-                                &format!("{}.l{layer}.basis{b}", self.prefix),
-                                self.dim,
-                                self.dim,
-                            );
-                            let xb = ctx.matmul(msg, vb);
-                            let cb = ctx.slice_cols(coef_per_edge, b, b + 1);
-                            let scaled = ctx.mul_col(xb, cb);
-                            acc = Some(match acc {
-                                Some(a) => ctx.add(a, scaled),
-                                None => scaled,
-                            });
-                        }
-                        let t = acc.unwrap_or(msg);
-                        ctx.scatter_add_rows(t, num_nodes)
-                    }
-                    WeightMode::PerRelation => {
-                        let mut acc: Option<AbsId> = None;
-                        for (r, &(a, b)) in type_ranges.iter().enumerate() {
-                            if b == a {
-                                continue;
-                            }
-                            let mr = ctx.gather_rows(msg, b - a);
-                            let wr = ctx.param(
-                                &format!("{}.l{layer}.w{r}", self.prefix),
-                                self.dim,
-                                self.dim,
-                            );
-                            let t = ctx.matmul(mr, wr);
-                            let part = ctx.scatter_add_rows(t, num_nodes);
-                            acc = Some(match acc {
-                                Some(x) => ctx.add(x, part),
+                                Some(x) => g.add(x, part),
                                 None => part,
                             });
                         }
                         match acc {
                             Some(x) => x,
-                            None => ctx.source(num_nodes, self.dim, Interval::point(0.0)),
+                            None => g.zeros(num_nodes, self.dim),
                         }
                     }
                 };
-                out = ctx.add(out, transformed);
+                out = g.add(out, transformed);
             }
-            let activated = ctx.rrelu(out);
-            ctx.dropout(activated, f64::from(self.dropout))
+            let activated = g.rrelu(out);
+            g.dropout(activated, self.dropout)
         })
     }
 }
@@ -348,100 +213,39 @@ impl EntityRgcn {
 
     /// Aggregates over `snap`: `entities [N, d]`, `relations [2M, d]` →
     /// `[N, d]`.
-    pub fn forward(
+    pub fn forward<O: Ops>(
         &self,
-        g: &mut Graph,
+        g: &mut O,
         store: &ParamStore,
-        entities: NodeId,
-        relations: NodeId,
+        entities: O::Node,
+        relations: O::Node,
         snap: &Snapshot,
-    ) -> NodeId {
+    ) -> O::Node {
         let _m = retia_obs::module_scope("EntityRgcn");
-        assert_eq!(g.value(entities).rows(), snap.num_entities, "entity count mismatch");
-        assert_eq!(g.value(relations).rows(), 2 * snap.num_relations, "relation count mismatch");
-        let mut h = entities;
-        for l in 0..self.core.num_layers {
-            h = self.core.layer(
-                g,
-                store,
-                l,
-                h,
-                relations,
-                &snap.src,
-                &snap.rel,
-                &snap.dst,
-                &snap.edge_norm,
-                &snap.rel_ranges,
-                snap.num_entities,
-            );
-        }
-        h
-    }
-
-    /// Shape-only replay of [`EntityRgcn::forward`] over `snap`'s real edge
-    /// arrays: `entities [N, d]`, `relations [2M, d]` -> `[N, d]`.
-    pub fn validate(
-        &self,
-        ctx: &mut ShapeCtx,
-        entities: ShapeTensor,
-        relations: ShapeTensor,
-        snap: &Snapshot,
-    ) -> ShapeTensor {
-        ctx.scoped("EntityRgcn", None, |ctx| {
-            ctx.check("entity_count", entities.rows == snap.num_entities, || {
+        g.scoped("EntityRgcn", None, |g| {
+            let (ent_rows, rel_rows) = (g.shape(entities).0, g.shape(relations).0);
+            g.check("entity_count", ent_rows == snap.num_entities, || {
                 format!(
-                    "entity embeddings are {entities}, snapshot has {} entities",
+                    "entity count mismatch: {ent_rows} embedding rows, snapshot has {} entities",
                     snap.num_entities
                 )
             });
-            ctx.check("relation_count", relations.rows == 2 * snap.num_relations, || {
+            g.check("relation_count", rel_rows == 2 * snap.num_relations, || {
                 format!(
-                    "relation embeddings are {relations}, expected {} rows (2M with inverses)",
+                    "relation count mismatch: {rel_rows} embedding rows, expected {} (2M with \
+                     inverses)",
                     2 * snap.num_relations
                 )
             });
-            let mut h = entities;
-            for l in 0..self.core.num_layers {
-                h = self.core.validate_layer(
-                    ctx,
-                    l,
-                    h,
-                    relations,
-                    &snap.src,
-                    &snap.rel,
-                    &snap.dst,
-                    &snap.edge_norm,
-                    &snap.rel_ranges,
-                    snap.num_entities,
-                );
-            }
-            h
-        })
-    }
-
-    /// Value-domain replay of [`EntityRgcn::forward`] over `snap`'s real
-    /// edge arrays, declaring the layer weights the real graph would touch.
-    pub fn audit(
-        &self,
-        ctx: &mut AuditCtx,
-        entities: AbsId,
-        relations: AbsId,
-        snap: &Snapshot,
-    ) -> AbsId {
-        ctx.scoped("EntityRgcn", None, |ctx| {
-            let mut h = entities;
-            for l in 0..self.core.num_layers {
-                h = self.core.audit_layer(
-                    ctx,
-                    l,
-                    h,
-                    relations,
-                    snap.num_edges(),
-                    &snap.rel_ranges,
-                    snap.num_entities,
-                );
-            }
-            h
+            let edges = Edges {
+                src: &snap.src,
+                etype: &snap.rel,
+                dst: &snap.dst,
+                norm: &snap.edge_norm,
+                type_ranges: &snap.rel_ranges,
+                num_nodes: snap.num_entities,
+            };
+            self.core.forward(g, store, entities, relations, &edges)
         })
     }
 }
@@ -478,105 +282,39 @@ impl RelationRgcn {
 
     /// Aggregates over `hyper`: `relations [2M, d]`,
     /// `hyperrelations [2H, d]` → `[2M, d]`.
-    pub fn forward(
+    pub fn forward<O: Ops>(
         &self,
-        g: &mut Graph,
+        g: &mut O,
         store: &ParamStore,
-        relations: NodeId,
-        hyperrelations: NodeId,
+        relations: O::Node,
+        hyperrelations: O::Node,
         hyper: &HyperSnapshot,
-    ) -> NodeId {
+    ) -> O::Node {
         let _m = retia_obs::module_scope("RelationRgcn");
-        assert_eq!(g.value(relations).rows(), hyper.num_rel_nodes, "relation node count mismatch");
-        assert_eq!(
-            g.value(hyperrelations).rows(),
-            NUM_HYPERRELS_WITH_INV,
-            "hyperrelation embedding count mismatch"
-        );
-        let mut h = relations;
-        for l in 0..self.core.num_layers {
-            h = self.core.layer(
-                g,
-                store,
-                l,
-                h,
-                hyperrelations,
-                &hyper.src,
-                &hyper.hrel,
-                &hyper.dst,
-                &hyper.edge_norm,
-                &hyper.hrel_ranges,
-                hyper.num_rel_nodes,
-            );
-        }
-        h
-    }
-
-    /// Shape-only replay of [`RelationRgcn::forward`] over `hyper`'s real
-    /// edge arrays: `relations [2M, d]`, `hyperrelations [2H, d]` ->
-    /// `[2M, d]`.
-    pub fn validate(
-        &self,
-        ctx: &mut ShapeCtx,
-        relations: ShapeTensor,
-        hyperrelations: ShapeTensor,
-        hyper: &HyperSnapshot,
-    ) -> ShapeTensor {
-        ctx.scoped("RelationRgcn", None, |ctx| {
-            ctx.check("relation_node_count", relations.rows == hyper.num_rel_nodes, || {
+        g.scoped("RelationRgcn", None, |g| {
+            let (rel_rows, hyper_rows) = (g.shape(relations).0, g.shape(hyperrelations).0);
+            g.check("relation_node_count", rel_rows == hyper.num_rel_nodes, || {
                 format!(
-                    "relation embeddings are {relations}, hypergraph has {} relation nodes",
+                    "relation node count mismatch: {rel_rows} embedding rows, hypergraph has {} \
+                     relation nodes",
                     hyper.num_rel_nodes
                 )
             });
-            ctx.check("hyperrelation_count", hyperrelations.rows == NUM_HYPERRELS_WITH_INV, || {
+            g.check("hyperrelation_count", hyper_rows == NUM_HYPERRELS_WITH_INV, || {
                 format!(
-                    "hyperrelation embeddings are {hyperrelations}, expected \
-                         {NUM_HYPERRELS_WITH_INV} rows"
+                    "hyperrelation embedding count mismatch: {hyper_rows} rows, expected \
+                     {NUM_HYPERRELS_WITH_INV}"
                 )
             });
-            let mut h = relations;
-            for l in 0..self.core.num_layers {
-                h = self.core.validate_layer(
-                    ctx,
-                    l,
-                    h,
-                    hyperrelations,
-                    &hyper.src,
-                    &hyper.hrel,
-                    &hyper.dst,
-                    &hyper.edge_norm,
-                    &hyper.hrel_ranges,
-                    hyper.num_rel_nodes,
-                );
-            }
-            h
-        })
-    }
-
-    /// Value-domain replay of [`RelationRgcn::forward`] over `hyper`'s real
-    /// edge arrays.
-    pub fn audit(
-        &self,
-        ctx: &mut AuditCtx,
-        relations: AbsId,
-        hyperrelations: AbsId,
-        hyper: &HyperSnapshot,
-    ) -> AbsId {
-        ctx.scoped("RelationRgcn", None, |ctx| {
-            let mut h = relations;
-            for l in 0..self.core.num_layers {
-                h = self.core.audit_layer(
-                    ctx,
-                    l,
-                    h,
-                    hyperrelations,
-                    hyper.num_edges(),
-                    &hyper.hrel_ranges,
-                    hyper.num_rel_nodes,
-                );
-            }
-            h
+            let edges = Edges {
+                src: &hyper.src,
+                etype: &hyper.hrel,
+                dst: &hyper.dst,
+                norm: &hyper.edge_norm,
+                type_ranges: &hyper.hrel_ranges,
+                num_nodes: hyper.num_rel_nodes,
+            };
+            self.core.forward(g, store, relations, hyperrelations, &edges)
         })
     }
 }
@@ -585,7 +323,7 @@ impl RelationRgcn {
 mod tests {
     use super::*;
     use retia_graph::Quad;
-    use retia_tensor::{Tensor, RRELU_EVAL_SLOPE};
+    use retia_tensor::{Graph, Tensor, RRELU_EVAL_SLOPE};
 
     fn toy_snapshot() -> Snapshot {
         let quads = vec![Quad::new(0, 0, 1, 0), Quad::new(2, 1, 1, 0), Quad::new(1, 0, 3, 0)];

@@ -1,12 +1,12 @@
-//! Negative validation tests: every public NN layer, fed deliberately
-//! mismatched dimensions, must fail its `validate` with at least one issue
-//! whose path names the layer — the guarantee `retia check` builds on.
+//! Negative validation tests: every public NN layer, its own `forward` run
+//! on a shape interpreter with deliberately mismatched dimensions, must
+//! record at least one issue whose path names the layer — the guarantee
+//! `retia check` builds on.
 
 use retia_analyze::{ShapeCtx, ShapeTensor};
 use retia_graph::{HyperSnapshot, Quad, Snapshot};
 use retia_nn::{
-    validate_mean_pool_segments, ConvTransE, EntityRgcn, GruCell, Linear, LstmCell, RelationRgcn,
-    WeightMode,
+    mean_pool_segments, ConvTransE, EntityRgcn, GruCell, Linear, LstmCell, RelationRgcn, WeightMode,
 };
 use retia_tensor::ParamStore;
 
@@ -32,7 +32,7 @@ fn linear_rejects_wrong_input_width() {
     let mut store = ParamStore::new(0);
     let lin = Linear::new(&mut store, "l", 3, 5);
     expect_issue_naming("Linear", |ctx| {
-        lin.validate(ctx, ShapeTensor::new(2, 4));
+        lin.forward(ctx, &store, ShapeTensor::new(2, 4));
     });
 }
 
@@ -41,7 +41,7 @@ fn gru_rejects_wrong_input_width() {
     let mut store = ParamStore::new(0);
     let gru = GruCell::new(&mut store, "g", 8, 8);
     expect_issue_naming("GruCell", |ctx| {
-        gru.validate(ctx, ShapeTensor::new(4, 7), ShapeTensor::new(4, 8));
+        gru.forward(ctx, &store, ShapeTensor::new(4, 7), ShapeTensor::new(4, 8));
     });
 }
 
@@ -50,7 +50,7 @@ fn gru_rejects_mismatched_hidden_rows() {
     let mut store = ParamStore::new(0);
     let gru = GruCell::new(&mut store, "g", 8, 8);
     expect_issue_naming("GruCell", |ctx| {
-        gru.validate(ctx, ShapeTensor::new(4, 8), ShapeTensor::new(5, 8));
+        gru.forward(ctx, &store, ShapeTensor::new(4, 8), ShapeTensor::new(5, 8));
     });
 }
 
@@ -59,7 +59,13 @@ fn lstm_rejects_wrong_input_width() {
     let mut store = ParamStore::new(0);
     let lstm = LstmCell::new(&mut store, "l", 16, 8);
     expect_issue_naming("LstmCell", |ctx| {
-        lstm.validate(ctx, ShapeTensor::new(4, 8), ShapeTensor::new(4, 8), ShapeTensor::new(4, 8));
+        lstm.forward(
+            ctx,
+            &store,
+            ShapeTensor::new(4, 8),
+            ShapeTensor::new(4, 8),
+            ShapeTensor::new(4, 8),
+        );
     });
 }
 
@@ -68,7 +74,13 @@ fn lstm_rejects_mismatched_cell_state() {
     let mut store = ParamStore::new(0);
     let lstm = LstmCell::new(&mut store, "l", 16, 8);
     expect_issue_naming("LstmCell", |ctx| {
-        lstm.validate(ctx, ShapeTensor::new(4, 16), ShapeTensor::new(4, 8), ShapeTensor::new(4, 9));
+        lstm.forward(
+            ctx,
+            &store,
+            ShapeTensor::new(4, 16),
+            ShapeTensor::new(4, 8),
+            ShapeTensor::new(4, 9),
+        );
     });
 }
 
@@ -79,7 +91,7 @@ fn entity_rgcn_rejects_wrong_entity_count() {
     let rgcn = EntityRgcn::new(&mut store, "eam", 8, 4, WeightMode::Basis(2), 1, 0.0);
     expect_issue_naming("EntityRgcn", |ctx| {
         // 5 entity rows vs the snapshot's 4 entities.
-        rgcn.validate(ctx, ShapeTensor::new(5, 8), ShapeTensor::new(4, 8), &snap);
+        rgcn.forward(ctx, &store, ShapeTensor::new(5, 8), ShapeTensor::new(4, 8), &snap);
     });
 }
 
@@ -90,7 +102,7 @@ fn entity_rgcn_rejects_wrong_relation_width() {
     let rgcn = EntityRgcn::new(&mut store, "eam", 8, 4, WeightMode::Basis(2), 1, 0.0);
     expect_issue_naming("EntityRgcn", |ctx| {
         // Relation embeddings narrower than d: the edge-message add breaks.
-        rgcn.validate(ctx, ShapeTensor::new(4, 8), ShapeTensor::new(4, 6), &snap);
+        rgcn.forward(ctx, &store, ShapeTensor::new(4, 8), ShapeTensor::new(4, 6), &snap);
     });
 }
 
@@ -102,8 +114,9 @@ fn relation_rgcn_rejects_wrong_hyperrel_count() {
     let rgcn = RelationRgcn::new(&mut store, "ram", 8, WeightMode::PerRelation, 1, 0.0);
     expect_issue_naming("RelationRgcn", |ctx| {
         // 3 hyperrelation rows instead of NUM_HYPERRELS_WITH_INV (8).
-        rgcn.validate(
+        rgcn.forward(
             ctx,
+            &store,
             ShapeTensor::new(hyper.num_rel_nodes, 8),
             ShapeTensor::new(3, 8),
             &hyper,
@@ -116,7 +129,13 @@ fn conv_transe_rejects_wrong_query_width() {
     let mut store = ParamStore::new(0);
     let dec = ConvTransE::new(&mut store, "dec", 8, 4, 3, 0.0);
     expect_issue_naming("ConvTransE", |ctx| {
-        dec.validate(ctx, ShapeTensor::new(2, 9), ShapeTensor::new(2, 9), ShapeTensor::new(5, 8));
+        dec.forward(
+            ctx,
+            &store,
+            ShapeTensor::new(2, 9),
+            ShapeTensor::new(2, 9),
+            ShapeTensor::new(5, 8),
+        );
     });
 }
 
@@ -125,7 +144,13 @@ fn conv_transe_rejects_mismatched_query_parts() {
     let mut store = ParamStore::new(0);
     let dec = ConvTransE::new(&mut store, "dec", 8, 4, 3, 0.0);
     expect_issue_naming("ConvTransE", |ctx| {
-        dec.validate(ctx, ShapeTensor::new(2, 8), ShapeTensor::new(3, 8), ShapeTensor::new(5, 8));
+        dec.forward(
+            ctx,
+            &store,
+            ShapeTensor::new(2, 8),
+            ShapeTensor::new(3, 8),
+            ShapeTensor::new(5, 8),
+        );
     });
 }
 
@@ -133,7 +158,7 @@ fn conv_transe_rejects_mismatched_query_parts() {
 fn mean_pool_rejects_out_of_range_member() {
     expect_issue_naming("mean_pool_segments", |ctx| {
         // Segment member 5 in a 3-row input.
-        validate_mean_pool_segments(ctx, ShapeTensor::new(3, 4), &[vec![0, 5], vec![1]]);
+        mean_pool_segments(ctx, ShapeTensor::new(3, 4), &[vec![0, 5], vec![1]]);
     });
 }
 
@@ -144,28 +169,36 @@ fn valid_layers_pass() {
     let mut store = ParamStore::new(0);
     let mut ctx = ShapeCtx::new();
     let lin = Linear::new(&mut store, "l", 3, 5);
-    lin.validate(&mut ctx, ShapeTensor::new(2, 3));
+    lin.forward(&mut ctx, &store, ShapeTensor::new(2, 3));
     let gru = GruCell::new(&mut store, "g", 8, 8);
-    gru.validate(&mut ctx, ShapeTensor::new(4, 8), ShapeTensor::new(4, 8));
+    gru.forward(&mut ctx, &store, ShapeTensor::new(4, 8), ShapeTensor::new(4, 8));
     let lstm = LstmCell::new(&mut store, "ls", 16, 8);
-    lstm.validate(
+    lstm.forward(
         &mut ctx,
+        &store,
         ShapeTensor::new(4, 16),
         ShapeTensor::new(4, 8),
         ShapeTensor::new(4, 8),
     );
     let eam = EntityRgcn::new(&mut store, "eam", 8, 4, WeightMode::Basis(2), 2, 0.0);
-    eam.validate(&mut ctx, ShapeTensor::new(4, 8), ShapeTensor::new(4, 8), &snap);
+    eam.forward(&mut ctx, &store, ShapeTensor::new(4, 8), ShapeTensor::new(4, 8), &snap);
     let ram = RelationRgcn::new(&mut store, "ram", 8, WeightMode::PerRelation, 2, 0.0);
-    ram.validate(
+    ram.forward(
         &mut ctx,
+        &store,
         ShapeTensor::new(hyper.num_rel_nodes, 8),
         ShapeTensor::new(retia_graph::NUM_HYPERRELS_WITH_INV, 8),
         &hyper,
     );
     let dec = ConvTransE::new(&mut store, "dec", 8, 4, 3, 0.0);
-    dec.validate(&mut ctx, ShapeTensor::new(2, 8), ShapeTensor::new(2, 8), ShapeTensor::new(5, 8));
-    validate_mean_pool_segments(&mut ctx, ShapeTensor::new(4, 8), &[vec![0, 1], vec![], vec![3]]);
+    dec.forward(
+        &mut ctx,
+        &store,
+        ShapeTensor::new(2, 8),
+        ShapeTensor::new(2, 8),
+        ShapeTensor::new(5, 8),
+    );
+    mean_pool_segments(&mut ctx, ShapeTensor::new(4, 8), &[vec![0, 1], vec![], vec![3]]);
     let report = ctx.finish();
     assert!(report.is_clean(), "valid layers produced issues:\n{report}");
     assert!(report.ops_checked > 30);

@@ -22,6 +22,11 @@
 //! Every op's gradient is validated against central finite differences in the
 //! test suite (see `autodiff::tests` and `tests/gradcheck.rs`).
 //!
+//! [`Ops`] names the op vocabulary the NN layers are written against. `Graph`
+//! implements it by computing values; the shape and value interpreters in
+//! `retia-analyze` implement it over abstract values, so one generic layer
+//! serves training, the shape dry run and the audit.
+//!
 //! ## Example
 //!
 //! ```
@@ -53,6 +58,7 @@
 
 mod autodiff;
 pub mod init;
+mod ops;
 pub mod optim;
 pub mod parallel;
 mod param;
@@ -61,6 +67,7 @@ mod tensor;
 pub mod transfer;
 
 pub use autodiff::{Graph, NodeId};
+pub use ops::Ops;
 pub use param::{ParamId, ParamStore};
 pub use serialize::CheckpointError;
 pub use tensor::Tensor;
