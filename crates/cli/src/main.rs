@@ -136,11 +136,8 @@ COMMANDS:
                [--store DIR]           boot the window from the durable store
                                        and append every accepted ingest to it
                                        before the window advances; survives
-                                       kill -9 at any byte offset
-               [--ingest-log FILE]     deprecated alias for --store: migrates
-                                       the legacy JSONL log into {FILE}.store
-                                       once (FILE is renamed FILE.migrated)
-                                       and serves from that store thereafter
+                                       kill -9 at any byte offset; without
+                                       it, ingests live only in memory
     loadtest   replay a synthetic query/ingest mix and write BENCH_serve.json
                (p50/p99 latency and QPS per concurrency level)
                [--addr HOST:PORT] [--connections 1,2,4,...] [--requests N]
@@ -179,7 +176,9 @@ STORE COMMANDS (durable temporal-KG store: CRC'd fact log + compacted segments):
                --store DIR [--at T] [--json]
     export     write the whole store as an interchange document
                --store DIR --format json|csv|graphml|cypher [--out FILE]
-               all four formats reimport bit-identically via `retia ingest`
+               (`retia ingest` reads only --facts TSV or --from-data; reading
+               an export back is a library call, `retia_store::import`, and
+               every format round-trips bit-identically through it)
 
 SLO SPECS (--slo):
     comma-separated name:objective:threshold_ms[:window_s] entries, e.g.
@@ -187,7 +186,7 @@ SLO SPECS (--slo):
     serve evaluates them against the serve.request_ms.<name> histograms;
     loadtest evaluates them against its own measured latencies.
 
-OBSERVABILITY:
+OBSERVABILITY (train, evaluate, serve):
     --log-level L     stderr log verbosity: off|error|warn|info|debug|trace
                       (defaults to the RETIA_LOG environment variable, then `info`)
     --trace-out FILE  append every span/event as JSON lines to FILE

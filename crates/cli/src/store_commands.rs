@@ -31,7 +31,11 @@ pub(crate) fn synthetic_names(
 /// `retia ingest --store DIR (--facts FILE.tsv | --from-data DIR) [--append]
 /// [--name NAME] [--granularity day|year] [--compact]`.
 pub fn ingest(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["append", "compact"])?;
+    let args = Args::parse(
+        raw,
+        &["append", "compact"],
+        &["store", "facts", "from-data", "granularity", "name"],
+    )?;
     let dir = PathBuf::from(args.require("store")?);
     // `--from-data` is loaded up front so a new store can inherit the
     // dataset's name and granularity unless overridden.
@@ -73,9 +77,8 @@ pub fn ingest(raw: &[String]) -> Result<(), String> {
     };
     let stats = store.stats();
     println!(
-        "appended {} fact(s) ({} skipped, {} new entities, {} new relations) to {}",
+        "appended {} fact(s) ({} new entities, {} new relations) to {}",
         outcome.appended,
-        outcome.skipped,
         outcome.new_entities,
         outcome.new_relations,
         dir.display()
@@ -104,7 +107,7 @@ pub fn ingest(raw: &[String]) -> Result<(), String> {
 
 /// `retia compact --store DIR`.
 pub fn compact(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &[], &["store"])?;
     let mut store = open_store(&args)?;
     let out = store.compact().map_err(|e| e.to_string())?;
     match out.segment {
@@ -148,7 +151,11 @@ fn fact_json(store: &Store, q: &retia_graph::Quad) -> Value {
 /// `retia query --store DIR [--subject X] [--relation X] [--object X]
 /// [--since T] [--until T] [--limit N] [--json]`.
 pub fn query(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["json"])?;
+    let args = Args::parse(
+        raw,
+        &["json"],
+        &["store", "subject", "object", "relation", "since", "until", "limit"],
+    )?;
     let store = open_store(&args)?;
     let filter = FactFilter {
         s: args.get("subject").map(|v| resolve_entity(&store, v, "--subject")).transpose()?,
@@ -200,7 +207,7 @@ pub fn query(raw: &[String]) -> Result<(), String> {
 /// `retia path --store DIR --from X --to X [--since T] [--max-hops N]
 /// [--json]`.
 pub fn path(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["json"])?;
+    let args = Args::parse(raw, &["json"], &["store", "from", "to", "since", "max-hops"])?;
     let store = open_store(&args)?;
     let q = PathQuery {
         from: resolve_entity(&store, args.require("from")?, "--from")?,
@@ -252,7 +259,7 @@ pub fn path(raw: &[String]) -> Result<(), String> {
 
 /// `retia communities --store DIR [--at T] [--json]`.
 pub fn communities(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &["json"])?;
+    let args = Args::parse(raw, &["json"], &["store", "at"])?;
     let store = open_store(&args)?;
     let snaps: Vec<_> = store
         .groups()
@@ -344,7 +351,7 @@ pub fn communities(raw: &[String]) -> Result<(), String> {
 
 /// `retia export --store DIR --format json|csv|graphml|cypher [--out FILE]`.
 pub fn export(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw, &[])?;
+    let args = Args::parse(raw, &[], &["store", "format", "out"])?;
     let store = open_store(&args)?;
     let token = args.require("format")?;
     let format = ExportFormat::parse(token)

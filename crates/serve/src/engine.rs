@@ -37,7 +37,6 @@ use retia_eval::{top_k, top_k_sharded};
 use retia_graph::{group_by_timestamp, HyperSnapshot, Quad, Snapshot};
 use retia_obs::trace::{self, TraceFrame};
 
-use crate::online::IngestLog;
 use crate::stages;
 
 /// What a single query predicts.
@@ -151,20 +150,17 @@ pub struct EngineOptions {
     /// (`1` = the fused single-thread path). Any value produces bit-identical
     /// ranks; see `FrozenModel::decode_entity_sharded`.
     pub decode_shards: usize,
-    /// Durability log: accepted ingest facts are appended here as
-    /// CRC-stamped JSONL **before** the epoch bump, so a crashed server
-    /// rebuilds the same window on restart (see [`crate::online::IngestLog`]).
-    pub ingest_log: Option<PathBuf>,
     /// Durable store directory: accepted ingest facts are appended to the
-    /// store's binary fact log **before** the epoch bump (the successor of
-    /// `ingest_log`; see `retia_store::Appender`). The store must already
-    /// exist — the CLI creates it at boot.
+    /// store's CRC-framed, fsynced fact log **before** the epoch bump, so a
+    /// crashed server rebuilds the same window from the store on restart
+    /// (see `retia_store::Appender`). The store must already exist
+    /// (`retia ingest --store DIR` creates one).
     pub store: Option<PathBuf>,
 }
 
 impl Default for EngineOptions {
     fn default() -> EngineOptions {
-        EngineOptions { queue_cap: 256, decode_shards: 1, ingest_log: None, store: None }
+        EngineOptions { queue_cap: 256, decode_shards: 1, store: None }
     }
 }
 
@@ -482,16 +478,11 @@ impl Engine {
         let shared = Arc::new(Shared::new(opts.queue_cap));
         let stats = Arc::new(EngineStats::default());
         let handle = EngineHandle { shared: Arc::clone(&shared), stats: Arc::clone(&stats) };
-        let ingest_log = match &opts.ingest_log {
-            Some(path) => Some(IngestLog::open_append(path)?),
-            None => None,
-        };
         let store = match &opts.store {
             Some(dir) => Some(retia_store::Appender::open(dir).map_err(std::io::Error::other)?),
             None => None,
         };
-        let mut state =
-            EngineState::new(model, window, opts.decode_shards, stats, ingest_log, store);
+        let mut state = EngineState::new(model, window, opts.decode_shards, stats, store);
         let thread = std::thread::Builder::new()
             .name("retia-serve-engine".to_string())
             .spawn(move || state.run(&shared))?;
@@ -530,7 +521,6 @@ struct EngineState {
     /// Entity-decode sharding degree (`1` = fused single-thread path).
     decode_shards: usize,
     stats: Arc<EngineStats>,
-    ingest_log: Option<IngestLog>,
     store: Option<retia_store::Appender>,
 }
 
@@ -540,7 +530,6 @@ impl EngineState {
         window: Vec<Snapshot>,
         decode_shards: usize,
         stats: Arc<EngineStats>,
-        ingest_log: Option<IngestLog>,
         store: Option<retia_store::Appender>,
     ) -> EngineState {
         let k = model.cfg().k.max(1);
@@ -558,7 +547,6 @@ impl EngineState {
             model_epoch: 0,
             decode_shards: decode_shards.max(1),
             stats,
-            ingest_log,
             store,
         };
         state.rebuild_graphs();
@@ -703,19 +691,9 @@ impl EngineState {
                 )));
             }
         }
-        // Durability first: the log must hold the facts before any epoch
+        // Durability first: the store must hold the facts before any epoch
         // observable to clients reflects them. A failed append degrades
         // durability, not availability — warn and keep serving.
-        if let Some(log) = &mut self.ingest_log {
-            if let Err(e) = log.append(facts) {
-                retia_obs::metrics::inc("serve.ingest_log.write_errors");
-                retia_obs::event!(
-                    retia_obs::Level::Warn,
-                    "serve.ingest_log.write_error";
-                    format!("ingest log append failed ({e}); facts accepted without durability")
-                );
-            }
-        }
         if let Some(store) = &mut self.store {
             if let Err(e) = store.append_quads(facts) {
                 retia_obs::metrics::inc("store.append_errors");

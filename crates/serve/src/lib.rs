@@ -37,6 +37,9 @@
 //! caches them; per-query work is one decode batch plus a bounded top-k
 //! heap. `POST /v1/ingest` appends facts, advances the window and recomputes
 //! the cache — the online extrapolation setting, minus parameter updates.
+//! With [`ServeConfig::store`] set, each accepted batch reaches the durable
+//! store's fact log before the window advances; that store is the only way
+//! an ingest survives a restart.
 //!
 //! Endpoints: `POST /v1/query`, `POST /v1/ingest`, `GET /healthz` (status,
 //! model/ingest epochs, staleness and trainer state; `?ready=1` turns it

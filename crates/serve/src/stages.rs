@@ -31,5 +31,3 @@ pub const TRAIN: &str = "serve.train";
 pub const SWAP: &str = "serve.swap";
 /// Drift gate: candidate-vs-baseline scoring on the newest window.
 pub const DRIFT: &str = "serve.drift";
-/// Boot replay of the ingest durability log.
-pub const REPLAY: &str = "serve.replay";

@@ -34,9 +34,6 @@ pub struct NamedFact {
 pub struct AppendOutcome {
     /// Facts durably appended.
     pub appended: usize,
-    /// Facts skipped (lenient appends only: stale timestamp or id out of
-    /// range).
-    pub skipped: usize,
     /// Entity names first seen in this append.
     pub new_entities: usize,
     /// Relation names first seen in this append.
@@ -408,31 +405,6 @@ impl Store {
         Ok(AppendOutcome { appended: facts.len(), ..Default::default() })
     }
 
-    /// [`Store::append_quads`], but stale-timestamp and out-of-range facts
-    /// are skipped (counted in the outcome) instead of failing the batch —
-    /// the discipline legacy ingest-log migration needs.
-    pub fn append_quads_lenient(&mut self, facts: &[Quad]) -> Result<AppendOutcome, StoreError> {
-        let end = self.end_t();
-        let (n, m) = (self.entities.len(), self.relations.len());
-        let keep: Vec<Quad> = facts
-            .iter()
-            .copied()
-            .filter(|q| {
-                (q.s as usize) < n
-                    && (q.o as usize) < n
-                    && (q.r as usize) < m
-                    && end.is_none_or(|e| q.t >= e)
-            })
-            .collect();
-        let skipped = facts.len() - keep.len();
-        if keep.is_empty() {
-            return Ok(AppendOutcome { skipped, ..Default::default() });
-        }
-        let mut out = self.append_quads(&keep)?;
-        out.skipped = skipped;
-        Ok(out)
-    }
-
     /// Durably appends named facts, interning unseen entity/relation names
     /// in first-appearance (row) order — ids already assigned never move.
     /// The new names travel in the same log record as the facts that use
@@ -473,7 +445,6 @@ impl Store {
             .collect();
         let outcome = AppendOutcome {
             appended: rows.len(),
-            skipped: 0,
             new_entities: new_entities.len(),
             new_relations: new_relations.len(),
         };
@@ -873,10 +844,6 @@ mod tests {
         store.append_named(&[named("a", "r", "b", 0)]).expect("seed");
         assert!(store.append_quads(&[Quad::new(9, 0, 0, 1)]).is_err());
         assert!(store.append_quads(&[Quad::new(0, 9, 0, 1)]).is_err());
-        let out = store
-            .append_quads_lenient(&[Quad::new(9, 0, 0, 1), Quad::new(0, 0, 1, 1)])
-            .expect("lenient");
-        assert_eq!((out.appended, out.skipped), (1, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

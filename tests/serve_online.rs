@@ -2,12 +2,12 @@
 //! fault isolation (a NaN-storming or panicking trainer never perturbs
 //! served answers and never surfaces as 5xx), the degradation ladder on
 //! `/healthz` (`?ready=1` flips 503 while liveness stays 200), drift
-//! rollback via `/v1/drift`, and the ingest durability log surviving
-//! restarts with a corrupt tail.
+//! rollback via `/v1/drift`, and store-backed ingests surviving restarts
+//! with a torn log tail.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use retia::{FrozenModel, Retia, RetiaConfig, TkgContext};
@@ -15,6 +15,7 @@ use retia_analyze::{ChaosPlan, GradFault};
 use retia_data::{SyntheticConfig, TkgDataset};
 use retia_json::Value;
 use retia_serve::{OnlineOptions, ServeConfig, Server};
+use retia_store::Store;
 
 fn dataset() -> TkgDataset {
     SyntheticConfig::tiny(6).generate()
@@ -317,46 +318,85 @@ fn disabled_online_reports_disabled_everywhere() {
     server.shutdown();
 }
 
+/// Creates a store at `dir` holding the whole dataset over its id space
+/// (`e{i}`/`r{i}` names in id order), compacted into one segment.
+fn create_store(dir: &Path, ds: &TkgDataset) {
+    let _ = std::fs::remove_dir_all(dir);
+    let mut store = Store::create(dir, &ds.name, ds.granularity).expect("create store");
+    let names = |prefix: &str, n: usize| (0..n).map(|i| format!("{prefix}{i}")).collect::<Vec<_>>();
+    store
+        .ensure_names(&names("e", ds.num_entities), &names("r", ds.num_relations))
+        .expect("seed store vocabulary");
+    let facts: Vec<_> = ds.all_quads().copied().collect();
+    store.append_quads(&facts).expect("bulk-load facts");
+    store.compact().expect("compact");
+}
+
+/// Boots a server whose window comes from `Store::open(dir)` (which cuts a
+/// torn log tail) and whose ingests append to the same store.
+fn start_store_server(dir: &Path) -> Server {
+    let window = Store::open(dir).expect("reopen store").window(model_config().k);
+    let model = Retia::new(&model_config(), &dataset());
+    let cfg = ServeConfig { workers: 2, store: Some(dir.to_path_buf()), ..Default::default() };
+    Server::start(FrozenModel::new(model), window, &cfg).expect("bind ephemeral port")
+}
+
+/// The store's live fact log (`log-*.bin`; compaction moved the boot facts
+/// into a segment, so it holds only the ingests).
+fn live_log(dir: &Path) -> PathBuf {
+    std::fs::read_dir(dir)
+        .expect("store dir")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with("log-") && name.ends_with(".bin")
+        })
+        .expect("live log exists")
+}
+
 #[test]
-fn ingest_log_replays_after_restart_and_truncates_corrupt_tail() {
-    let log = std::env::temp_dir()
-        .join(format!("retia-serve-online-{}-durability.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&log);
-    let with_log = |cfg: &mut ServeConfig| cfg.ingest_log = Some(PathBuf::from(&log));
+fn store_ingests_survive_restart_and_torn_tail_is_truncated() {
+    let dir = std::env::temp_dir()
+        .join(format!("retia-serve-online-{}-durability.store", std::process::id()));
+    create_store(&dir, &dataset());
 
     // First life: two durable ingests, then a clean shutdown.
-    let (server, ctx) = start_server_with(with_log);
+    let server = start_store_server(&dir);
     let addr = server.addr();
-    let t0 = ctx.snapshots.last().expect("window").t;
+    let t0 = Store::open(&dir).expect("open store").end_t().expect("non-empty store");
     ingest_one(addr, t0 + 1);
     ingest_one(addr, t0 + 2);
     let after_ingest = probe_answer(addr);
     server.shutdown();
 
-    // Crash damage: a torn half-record at the tail of the log.
-    let mut bytes = std::fs::read(&log).expect("ingest log exists");
+    // Crash damage: a torn record at the tail of the live log — a frame
+    // header promising 64 payload bytes, followed by only three.
+    let log = live_log(&dir);
+    let mut bytes = std::fs::read(&log).expect("live log");
     let clean_len = bytes.len();
-    bytes.extend_from_slice(br#"{"crc":123,"facts":[[0,0,"#);
+    bytes.extend_from_slice(&64u32.to_le_bytes());
+    bytes.extend_from_slice(&0xDEAD_BEEFu32.to_le_bytes());
+    bytes.extend_from_slice(&[1, 2, 3]);
     std::fs::write(&log, &bytes).expect("append torn tail");
 
-    // Second life: replay must truncate the torn tail, re-apply both valid
-    // records, and serve bit-identically to the pre-restart window.
-    let (server, _) = start_server_with(with_log);
+    // Second life: the reopened store must cut the torn tail, keep both
+    // valid records, and serve bit-identically to the pre-restart window.
+    let server = start_store_server(&dir);
     assert_eq!(
         probe_answer(server.addr()),
         after_ingest,
-        "replayed window must serve bit-identical answers"
+        "restored window must serve bit-identical answers"
     );
     server.shutdown();
     assert_eq!(
-        std::fs::read(&log).expect("ingest log exists").len(),
+        std::fs::read(&log).expect("live log").len(),
         clean_len,
-        "boot replay must truncate the log back to the last valid record"
+        "boot must truncate the log back to the last valid record"
     );
 
-    // Third life: the repaired log replays cleanly again.
-    let (server, _) = start_server_with(with_log);
+    // Third life: the repaired log reopens cleanly again.
+    let server = start_store_server(&dir);
     assert_eq!(probe_answer(server.addr()), after_ingest);
     server.shutdown();
-    let _ = std::fs::remove_file(&log);
+    let _ = std::fs::remove_dir_all(&dir);
 }
